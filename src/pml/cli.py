@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 solver result not certified
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -103,27 +101,41 @@ def _parse_properties(props: tuple[str, ...]) -> list[tuple[str, int | None]]:
         elif name in ("coverage", "uniformity"):
             if not arg:
                 raise click.ClickException(f"property {name} needs an argument, e.g. {name}:10")
-            parsed.append((name, int(arg)))
+            try:
+                parsed.append((name, int(arg)))
+            except ValueError:
+                raise click.ClickException(f"property {name} needs an integer: {raw!r}") from None
         else:
             raise click.ClickException(f"unknown property {raw!r}")
     return parsed
 
 
+def _read_profile(path: str, cls):
+    """Profile or DProfile from a JSON file; malformed data exits 1."""
+    try:
+        return cls.from_dict(_load_json(path))
+    except ValueError as exc:
+        raise click.ClickException(f"{path}: {exc}") from None
+
+
 def _estimate_properties(dist, props) -> dict:
     out = {}
     for name, arg in props:
-        if name == "entropy":
-            out["entropy"] = estimators.entropy(dist)
-        elif name == "support":
-            out["support"] = estimators.support_size(dist)
-        elif name == "coverage":
-            out[f"coverage:{arg}"] = estimators.support_coverage(dist, arg)
-        elif name == "uniformity":
-            out[f"uniformity:{arg}"] = estimators.distance_to_uniformity(dist, arg)
-        elif name == "kl":
-            if not isinstance(dist, estimators.PairedLevelSetDistribution):
-                raise click.ClickException("kl needs a 2-dimensional estimate")
-            out["kl"] = estimators.kl_plugin(dist)
+        try:
+            if name == "entropy":
+                out["entropy"] = estimators.entropy(dist)
+            elif name == "support":
+                out["support"] = estimators.support_size(dist)
+            elif name == "coverage":
+                out[f"coverage:{arg}"] = estimators.support_coverage(dist, arg)
+            elif name == "uniformity":
+                out[f"uniformity:{arg}"] = estimators.distance_to_uniformity(dist, arg)
+            elif name == "kl":
+                if not isinstance(dist, estimators.PairedLevelSetDistribution):
+                    raise click.ClickException("kl needs a 2-dimensional estimate")
+                out["kl"] = estimators.kl_plugin(dist)
+        except ValueError as exc:
+            raise click.ClickException(f"property {name}: {exc}") from None
     return out
 
 
@@ -170,13 +182,8 @@ def cmd_estimate(profiles, eps1, eps2, delta, properties, output, fmt):
     if delta is not None and delta <= 0:
         raise click.ClickException("delta must be positive")
     props = _parse_properties(properties)
-    parsed = [Profile.from_dict(_load_json(path)) for path in profiles]
-    workers = int(os.environ.get("PML_THREADS", "1") or "1")
-    if len(parsed) > 1 and workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(parsed))) as pool:
-            results = list(pool.map(lambda p: _run_one(p, eps1, eps2, delta, props), parsed))
-    else:
-        results = [_run_one(p, eps1, eps2, delta, props) for p in parsed]
+    parsed = [_read_profile(path, Profile) for path in profiles]
+    results = [_run_one(p, eps1, eps2, delta, props) for p in parsed]
     _emit(results[0] if len(results) == 1 else results, output, fmt)
     if not all(r["certified"] for r in results):
         sys.exit(EXIT_NOT_CERTIFIED)
@@ -195,7 +202,7 @@ def cmd_estimate(profiles, eps1, eps2, delta, properties, output, fmt):
 def cmd_estimate_d(dprofile, dim, eps1, eps2, delta, properties, output, fmt):
     """Approximate PML for a joint profile over several sequences."""
     props = _parse_properties(properties)
-    dp = DProfile.from_dict(_load_json(dprofile))
+    dp = _read_profile(dprofile, DProfile)
     if dim is not None and dim != dp.d:
         raise click.ClickException(f"profile has dimension {dp.d}, not {dim}")
     eps1_t = None if eps1 is None else (eps1,) * dp.d
@@ -215,7 +222,7 @@ def cmd_estimate_d(dprofile, dim, eps1, eps2, delta, properties, output, fmt):
 @click.argument("dist_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_exact(profile_path, dist_path):
     """Exact log-probability of a profile under a distribution JSON ({"probs": [...]})."""
-    profile = Profile.from_dict(_load_json(profile_path))
+    profile = _read_profile(profile_path, Profile)
     data = _load_json(dist_path)
     if "probs" not in data:
         raise click.ClickException(f"{dist_path}: expected a 'probs' array")
@@ -233,7 +240,7 @@ def cmd_exact(profile_path, dist_path):
 @click.option("--resolution", type=int, default=10)
 def cmd_bruteforce(profile_path, support_cap, resolution):
     """Grid-search PML over tiny supports; prints the best grid distribution."""
-    profile = Profile.from_dict(_load_json(profile_path))
+    profile = _read_profile(profile_path, Profile)
     try:
         config = exact.GridSearchConfig(
             support_cap=support_cap or min(2 * profile.n**2, 10),

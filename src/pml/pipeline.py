@@ -22,7 +22,7 @@ from .estimators import (
     pseudo_from_assignment,
 )
 from .grids import build_frequency_grid, build_probability_grid, discretize_profile
-from .multi import DGrids, DProfile, build_d_grids, discretize_d_profile
+from .multi import DProfile, build_d_grids, discretize_d_profile, log_d_profile_coefficient
 from .profiles import Profile, log_profile_coefficient
 
 __all__ = ["PipelineDiagnostics", "approximate_pml", "approximate_pml_d"]
@@ -247,7 +247,10 @@ def approximate_pml_d(
         )
     grids = build_d_grids(n, eps1, eps2)
     counts, n_disc = discretize_d_profile(dprofile, grids)
-    log_coeff = _log_disc_coefficient(grids, counts, n_disc)
+    observed = counts > 0
+    disc_profile = DProfile(
+        tuple(zip(map(tuple, grids.freq_values[observed]), counts[observed])), n_disc
+    )
     return _run(
         level_values=grids.level_values,
         freq_values=grids.freq_values,
@@ -257,18 +260,7 @@ def approximate_pml_d(
         eps1=np.asarray(eps1, dtype=float),
         eps2=np.asarray(eps2, dtype=float),
         delta=delta,
-        log_coeff=log_coeff,
+        log_coeff=log_d_profile_coefficient(disc_profile),
         max_iters=max_iters,
     )
 
-
-def _log_disc_coefficient(grids: DGrids, counts: np.ndarray, n_disc: tuple[int, ...]) -> float:
-    """Coefficient of the discretized d-profile (product over coordinates)."""
-    from scipy.special import gammaln
-
-    out = 0.0
-    freqs = grids.freq_values
-    for k, nk in enumerate(n_disc):
-        out += gammaln(nk + 1)
-        out -= float((counts * gammaln(freqs[:, k] + 1)).sum())
-    return float(out)

@@ -1,22 +1,24 @@
 """Maximizes the relaxed assignment score over the fractional feasible set.
 
-The outer loop is conditional-gradient ascent: each iteration asks an exact
-linear oracle (a small LP) for the best feasible direction and takes a
-backtracking step. Plain conditional-gradient steps approach the optimum only
-sublinearly, far too slow to certify 1e-6-scale gaps, so on small problems the
-loop is augmented with an SLSQP correction ("polish"), and on every problem
-the primal is rebuilt from the refined dual. At an optimum the primal has the
-scaling form ``X_ij = a_i exp(C_ij - mu_j - lam . level_i)`` on the rows whose
-dual constraint is tight; the rebuild takes (mu, lam) from the dual bound,
-picks those rows by their dual slack, and fits the row masses a_i to the
-column equations and the budgets that lam > 0 makes tight.
+The solve runs on the Lagrangian dual. For column multipliers mu and budget
+multipliers lam >= 0, the dual value ``c . mu + sum lam`` bounds the optimum
+whenever every level row satisfies
+``lam . level_i >= W_i(mu) = log(1 + sum_j exp(C_ij - mu_j))``. Smoothing
+those row constraints at temperature t gives the convex function
 
-Certification is separate from iteration: at the returned point the solver
-reports the smaller of two upper bounds on the remaining suboptimality, the
-oracle gap ``<grad, S - X>`` (valid at strictly interior points by concavity)
-and a Lagrangian dual value repaired to exact feasibility against the exact,
-unclipped row term (valid everywhere). Neither bound depends on how the point
-was produced.
+    F_t(mu, lam) = c . mu + sum lam + t sum_i exp((W_i(mu) - lam . level_i) / (kappa_i t))
+
+over the observed columns, with ``kappa_i`` the row's largest level. lam is
+eliminated by its own convex solve of at most three variables (in closed form
+for one budget); mu takes Levenberg-Marquardt-damped Newton steps on the
+reduced function, and t falls tenfold per stage from 0.1 n'.
+
+Each stage proposes the smoothed primal ``X_ij = a_i softmax_j(C_ij - mu_j)``
+and the KKT rebuild from its multipliers; the boundary start
+:func:`initial_point` is a candidate too, for feasible sets with no interior.
+The certified gap is the dual value, repaired to exact feasibility against
+the exact, unclipped row term, minus the relaxed score of the best feasible
+candidate; neither bound depends on how the point or multipliers were found.
 """
 
 from __future__ import annotations
@@ -24,39 +26,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog, minimize
+from scipy.optimize import nnls
 from scipy.special import logsumexp
 
-from .assignment import (
-    GRAD_FLOOR,
-    AssignmentSpec,
-    grad_log_weight_relaxed,
-    is_feasible,
-    log_weight_relaxed,
-)
+from .assignment import AssignmentSpec, is_feasible, log_weight_relaxed
+
+# bench/spans.py patches linprog, minimize, log_weight_relaxed and
+# grad_log_weight_relaxed on this module and fails on a missing name; these
+# imports keep the three this solver does not call bound until it stops.
+from scipy.optimize import linprog, minimize  # noqa: F401,E402
+from .assignment import grad_log_weight_relaxed  # noqa: F401,E402
 
 __all__ = [
     "InfeasibleError",
     "SolverConfig",
     "SolveResult",
     "default_delta",
-    "lmo",
     "initial_point",
     "solve",
 ]
 
-# Problems with at most this many cells get the SLSQP correction step; its
-# quadratic subproblems grow cubically, so mid-size problems rely on the
-# conditional-gradient loop plus the KKT rebuild instead.
-POLISH_MAX_CELLS = 260
-_POLISH_ITERS = (8, 30, 90)
-
-# Internal gradient floor. The public default (1e-12) is fine for evaluating
-# gradients at interior points, but inside the solver it can mask the pull
-# back into a row whose mass has vanished, trapping iterates on a suboptimal
-# face; an extreme floor keeps those directions visible.
-_SOLVER_GRAD_FLOOR = 1e-140
+_STAGES = 12
 
 
 class InfeasibleError(ValueError):
@@ -65,11 +55,10 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Target additive gap (log units), iteration budget, and LP tolerance."""
+    """Target additive gap (log units) and the budget of Newton steps."""
 
     delta: float
     max_iters: int = 300
-    lmo_tol: float = 1e-10
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -96,62 +85,21 @@ def default_delta(spec: AssignmentSpec) -> float:
     return 1e-6 * scale
 
 
-def _column_sum_matrix(spec: AssignmentSpec) -> sp.csr_matrix:
-    R, J = spec.shape
-    cols = J - 1
-    rows = np.repeat(np.arange(cols), R)
-    idx = np.concatenate([np.arange(R) * J + (j + 1) for j in range(cols)])
-    data = np.ones(cols * R)
-    return sp.csr_matrix((data, (rows, idx)), shape=(cols, R * J))
-
-
-def _budget_matrix(spec: AssignmentSpec) -> sp.csr_matrix:
-    R, J = spec.shape
-    dense = np.repeat(spec.levels.T[:, :, None], J, axis=2).reshape(spec.dim, R * J)
-    return sp.csr_matrix(dense)
-
-
-def _repair_columns(X: np.ndarray, spec: AssignmentSpec) -> np.ndarray:
-    """Rescale observed columns so their sums match the targets exactly."""
-    sums = X[:, 1:].sum(axis=0)
-    targets = spec.col_counts.astype(float)
-    for j, (s, t) in enumerate(zip(sums, targets)):
-        if t == 0:
-            X[:, j + 1] = 0.0
-        elif s > 0 and s != t:
-            with np.errstate(over="ignore"):
-                scale = t / s
-            # A column too light to rescale stays off target, so the
-            # feasibility check rejects the point.
-            if np.isfinite(scale):
-                X[:, j + 1] *= scale
-    return X
-
-
-def lmo(grad: np.ndarray, spec: AssignmentSpec, tol: float = 1e-10) -> np.ndarray:
-    """Exact linear maximization oracle over the fractional feasible set.
-
-    Solves ``max <grad, S>`` subject to the observed column sums and the unit
-    mass budget(s) with an LP and returns a vertex. Exactness of this step is
-    what makes the duality-gap certificate in :func:`solve` valid.
-    """
-    if spec.row_counts is not None:
-        raise ValueError("the oracle maximizes over the budget (fractional) variant")
-    R, J = spec.shape
-    res = linprog(
-        c=-np.asarray(grad, dtype=float).ravel(),
-        A_ub=_budget_matrix(spec),
-        b_ub=np.ones(spec.dim),
-        A_eq=_column_sum_matrix(spec),
-        b_eq=spec.col_counts.astype(float),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise InfeasibleError(f"linear oracle failed: {res.message}")
-    X = res.x.reshape(R, J)
-    X[np.abs(X) < tol] = 0.0
-    return _repair_columns(X, spec)
+def _feasible(X: np.ndarray, spec: AssignmentSpec) -> np.ndarray | None:
+    """X with observed columns rescaled to their counts and unseen mass cut to
+    the budget, dearest levels first; None if X is still infeasible."""
+    scale = np.where(spec.col_counts > 0, spec.col_counts / X[:, 1:].sum(axis=0), 0.0)
+    X[:, 1:] *= np.where(np.isfinite(scale), scale, 1.0)  # an empty column stays off
+    over = spec.budget_use(X) - 1.0
+    for i in np.argsort(-spec.levels.max(axis=1)):
+        if np.all(over <= 0):
+            break
+        rate = spec.levels[i]
+        cut = min(X[i, 0], float(np.max(over / rate)))
+        if cut > 0:
+            X[i, 0] -= cut
+            over -= cut * rate
+    return X if is_feasible(X, spec, tol=1e-9) else None
 
 
 def initial_point(spec: AssignmentSpec) -> np.ndarray:
@@ -199,165 +147,6 @@ def initial_point(spec: AssignmentSpec) -> np.ndarray:
     return X
 
 
-def _kkt_multipliers(spec: AssignmentSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column and budget multipliers read off the KKT conditions at X."""
-    R, J = spec.shape
-    counts = spec.col_counts.astype(float)
-    C = spec.lin_coeff
-    a = X.sum(axis=1)
-    active_rows = a > 1e-12
-
-    # At an optimum the unseen column satisfies X_i0 = a_i exp(-lam . level_i).
-    usable = (X[:, 0] > 1e-12) & active_rows
-    if np.any(usable):
-        target = np.log(a[usable]) - np.log(X[usable, 0])
-        row_levels = spec.levels[usable]
-        if spec.dim == 1:
-            lam = np.array([max(0.0, float(np.median(target / row_levels[:, 0])))])
-        else:
-            lam, _ = _nnls(row_levels, target)
-    else:
-        # No unseen mass: the budget multiplier runs off along an asymptote;
-        # any large value works, the refinement trims the dual value.
-        lam = np.full(spec.dim, 50.0 / float(spec.levels.min()))
-
-    mu = np.full(J - 1, np.inf)
-    load = lam @ spec.levels.T  # (R,)
-    with np.errstate(divide="ignore"):
-        log_a = np.where(active_rows, np.log(np.maximum(a, 1e-300)), -np.inf)
-    for j in range(1, J):
-        if counts[j - 1] > 0:
-            terms = log_a + C[:, j] - load
-            mu[j - 1] = float(logsumexp(terms[active_rows])) - np.log(counts[j - 1])
-    return mu, lam
-
-
-def _dual_upper_bound(
-    spec: AssignmentSpec, X: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Certified upper bound on the optimum from a feasible Lagrangian dual point.
-
-    For column multipliers mu and budget multipliers lam >= 0, the dual value
-    ``sum mu_j count_j + sum lam_k`` bounds the optimum whenever every level
-    row satisfies ``lam . level_i >= W_i(mu) = log(1 + sum_j exp(C_ij - mu_j))``
-    (the inner row maximization is then capped at zero). Multipliers are read
-    off the KKT conditions at X, refined by solving the small smooth dual
-    program, and finally repaired to exact feasibility against the exact,
-    unclipped row term ``W_i``, so the bound is valid no matter how good X is;
-    it is only tight when X is near-optimal.
-
-    Returns the bound together with the repaired multipliers that attain it,
-    from which :func:`_reconstruct_primal` rebuilds a primal point.
-    """
-    mu, lam = _kkt_multipliers(spec, X)
-    candidates = [(mu, lam)]
-    refined = _refine_dual(spec, mu, lam)
-    if refined is not None:
-        candidates.append(refined)
-        mu = refined[0]
-    reduced = _refine_dual_reduced(spec, mu)
-    if reduced is not None:
-        candidates.append(reduced)
-    repaired = [(*_repaired_dual_value(spec, mu, lam), mu) for mu, lam in candidates]
-    value, lam, mu = min(repaired, key=lambda r: r[0])
-    return value, mu, lam
-
-
-def _refine_dual(
-    spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Minimize the dual value over (mu, lam) with SLSQP; tiny and smooth."""
-    counts = spec.col_counts.astype(float)
-    active = counts > 0
-    cols = int(active.sum())
-    if cols == 0:
-        return None
-    C_act = spec.lin_coeff[:, 1:][:, active]  # (R, cols)
-    levels = spec.levels  # (R, d)
-    d = spec.dim
-    lam_cap = 500.0 / float(spec.levels.min())
-
-    def split(z):
-        return z[:cols], z[cols:]
-
-    def objective(z):
-        m, l = split(z)
-        return float(counts[active] @ m + l.sum())
-
-    def objective_grad(z):
-        return np.concatenate([counts[active], np.ones(d)])
-
-    def constraints(z):
-        m, l = split(z)
-        terms = np.exp(np.clip(C_act - m, -745.0, 60.0))
-        return levels @ l - np.log1p(terms.sum(axis=1))
-
-    def constraints_jac(z):
-        m, l = split(z)
-        terms = np.exp(np.clip(C_act - m, -745.0, 60.0))
-        denom = 1.0 + terms.sum(axis=1)
-        jac_mu = terms / denom[:, None]
-        return np.hstack([jac_mu, levels])
-
-    z0 = np.concatenate([np.where(np.isfinite(mu[active]), mu[active], 0.0),
-                         np.minimum(lam, lam_cap)])
-    try:
-        res = minimize(
-            objective,
-            z0,
-            jac=objective_grad,
-            constraints=[{"type": "ineq", "fun": constraints, "jac": constraints_jac}],
-            bounds=[(None, None)] * cols + [(0.0, lam_cap)] * d,
-            method="SLSQP",
-            options={"maxiter": 300, "ftol": 1e-14},
-        )
-    except (ValueError, FloatingPointError):
-        return None
-    mu_out = np.full(mu.shape, np.inf)
-    mu_out[active] = res.x[:cols]
-    lam_out = np.maximum(res.x[cols:], 0.0)
-    return mu_out, lam_out
-
-
-def _refine_dual_reduced(
-    spec: AssignmentSpec, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """One-budget case: eliminate lam analytically and descend over mu alone.
-
-    With a single budget, feasibility pins lam = max_i W_i(mu) / level_i, so
-    the dual is an unconstrained convex function of mu. Its infimum may sit at
-    an asymptote (mu drifting to -inf in lockstep), which derivative-free
-    descent follows far enough for the value to flatten out numerically.
-    """
-    if spec.dim != 1:
-        return None
-    counts = spec.col_counts.astype(float)
-    active = counts > 0
-    cols = int(active.sum())
-    if cols == 0 or cols > 24:
-        return None
-    C_act = spec.lin_coeff[:, 1:][:, active]
-    levels = spec.levels[:, 0]
-
-    def value(m):
-        W = np.log1p(np.exp(np.clip(C_act - m, -745.0, 60.0)).sum(axis=1))
-        return float(counts[active] @ m + np.max(W / levels))
-
-    m0 = np.where(np.isfinite(mu[active]), mu[active], 0.0)
-    try:
-        res = minimize(
-            value,
-            m0,
-            method="Nelder-Mead",
-            options={"maxiter": 4000, "fatol": 1e-13, "xatol": 1e-10},
-        )
-    except (ValueError, FloatingPointError):
-        return None
-    mu_out = np.full(mu.shape, np.inf)
-    mu_out[active] = res.x
-    return mu_out, np.array([float(np.max(_row_terms(spec, mu_out) / levels))])
-
-
 def _row_terms(spec: AssignmentSpec, mu: np.ndarray) -> np.ndarray:
     """Exact ``W_i = log(1 + sum_j exp(C_ij - mu_j))`` over the finite mu.
 
@@ -365,8 +154,6 @@ def _row_terms(spec: AssignmentSpec, mu: np.ndarray) -> np.ndarray:
     bound repaired against an undercounted W is no bound at all.
     """
     finite = np.isfinite(mu)
-    if not np.any(finite):
-        return np.zeros(spec.num_levels)
     shifted = spec.lin_coeff[:, 1:][:, finite] - mu[finite]
     return np.logaddexp(0.0, logsumexp(shifted, axis=1))
 
@@ -374,334 +161,190 @@ def _row_terms(spec: AssignmentSpec, mu: np.ndarray) -> np.ndarray:
 def _repaired_dual_value(
     spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Scale lam up until every row constraint holds; the dual value and that lam."""
+    """Rescale lam so the tightest row constraint just holds; the dual value and that lam.
+
+    Scaling lam by ``max_i W_i / (lam . level_i)`` keeps every row feasible,
+    so the value is an upper bound for any mu and any lam >= 0.
+    """
     counts = spec.col_counts.astype(float)
     finite = np.isfinite(mu)
     W = _row_terms(spec, mu)
-    load = lam @ spec.levels.T
-    if np.any(W > load):
-        scale = float(np.max(W / np.maximum(load, 1e-300)))
-        if not np.isfinite(scale) or np.all(lam == 0):
-            lam = np.full(spec.dim, float(np.max(W / spec.levels.min(axis=1).min())))
-        else:
-            lam = lam * scale
-        lam = lam * (1 + 1e-12) + 1e-15
-        load = lam @ spec.levels.T
-        assert np.all(W <= load + 1e-9)
+    scale = float(np.max(W / np.maximum(lam @ spec.levels.T, 1e-300)))
+    if not np.isfinite(scale) or np.all(lam == 0):
+        lam = np.full(spec.dim, float(np.max(W / spec.levels.min(axis=1).min())))
+    else:
+        lam = lam * scale
+    lam = lam * (1 + 1e-12) + 1e-15
+    assert np.all(W <= lam @ spec.levels.T + 1e-9)
     return float(counts @ np.where(finite, mu, 0.0) + lam.sum()), lam
 
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    from scipy.optimize import nnls
+def _descend(evaluate, x: np.ndarray, max_steps: int, lower: float | None = None,
+             rtol: float = 1e-13):
+    """Minimize a smooth convex function by Levenberg-Marquardt-damped Newton steps.
 
-    try:
-        return nnls(A, b)
-    except Exception:
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        return np.maximum(sol, 0.0), 0.0
-
-
-def _trim_unseen(X: np.ndarray, spec: AssignmentSpec) -> np.ndarray:
-    """Cut unseen mass, most expensive levels first, until the budget holds."""
-    over = spec.budget_use(X) - 1.0
-    for i in np.argsort(-spec.levels.max(axis=1)):
-        if np.all(over <= 0):
+    ``evaluate(x)`` returns ``(value, grad, hessian, info)``. With a ``lower``
+    bound, steps are projected onto it and bound coordinates whose gradient
+    points outward are decoupled from the rest. Stops when the predicted
+    decrease over the free coordinates falls to ``rtol`` times the value, when
+    no damping gives sufficient decrease, or after ``max_steps``; returns the
+    point, its evaluation and the steps taken.
+    """
+    current = evaluate(x)
+    tau, steps, eye = 0.0, 0, np.eye(x.size)
+    while steps < max_steps:
+        value, grad, H, _ = current
+        free = np.full(x.size, True) if lower is None else (x > lower) | (grad < 0)
+        H = np.where(np.outer(free, free) | (eye > 0), H, 0.0)
+        scale = float(np.abs(np.diag(H)).max(initial=0.0)) + 1e-300
+        trial = None
+        while tau < 1e8:
+            try:
+                step = -np.linalg.solve(H + (tau + 1e-14) * scale * eye, grad)
+            except np.linalg.LinAlgError:
+                tau = max(10.0 * tau, 1e-12)
+                continue
+            if not -float(grad[free] @ step[free]) > rtol * max(1.0, abs(value)):
+                break
+            new_x = x + step if lower is None else np.maximum(x + step, lower)
+            decrease = -float(grad @ (new_x - x))
+            trial = evaluate(new_x) if decrease > 0 else None
+            if trial is not None and trial[0] <= value - 1e-4 * decrease:
+                break
+            trial = None
+            tau = max(10.0 * tau, 1e-12)
+        if trial is None:
             break
-        if X[i, 0] <= 0:
-            continue
-        rate = spec.levels[i]
-        cut = min(X[i, 0], float(np.max(np.where(rate > 0, over / rate, 0.0))))
-        X[i, 0] -= cut
-        over -= cut * rate
-    return X
+        x, current = new_x, trial
+        steps += 1
+        tau = tau / 100.0 if tau > 1e-10 else 0.0
+    return x, current, steps
 
 
-def _reconstruct_primal(
-    spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray
-) -> np.ndarray | None:
-    """Rebuild a primal point from dual multipliers via the KKT structure.
+def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, t: float,
+                        lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lam >= 0 minimizing ``sum lam + t sum_i exp(s_i)``, and the exponents s.
 
-    At an optimum, X_ij = a_i exp(C_ij - mu_j - lam . level_i) on the rows
-    whose dual constraint is tight, and every other row is empty. Given the
-    refined dual's (mu, lam), only the row masses a_i are unknown; they are
-    fitted to the column equations and, by complementary slackness, to the
-    budgets that lam > 0 makes tight. Which rows count as tight depends on
-    how accurate the multipliers are, so several dual-slack thresholds are
-    tried and the best feasible rebuild wins.
+    ``s_i = (W_i - lam . level_i) / (kappa_i t)``. One budget has the closed
+    form ``lam = t logsumexp(W / (level t))``. Several take damped Newton steps
+    from ``lam`` rescaled so that the largest s_i is zero.
     """
-    slack = lam @ spec.levels.T - _row_terms(spec, mu)
-    best: np.ndarray | None = None
-    best_value = -np.inf
-    for cut in (1e-10, 1e-7, 1e-4, 1e-2):
-        candidate = _reconstruct_with_active(spec, mu, lam, slack <= cut)
-        if candidate is not None:
-            value = log_weight_relaxed(candidate, spec)
-            if value > best_value:
-                best, best_value = candidate, value
-    return best
+    if levels.shape[1] == 1:
+        x = W / (levels[:, 0] * t)
+        lse = logsumexp(x)
+        return np.array([t * lse]), x - lse
+    share = levels / kappa[:, None]
+
+    def evaluate(lam):
+        s = (W - levels @ lam) / (kappa * t)
+        e = np.exp(s)
+        H = (share.T * (e / t)) @ share
+        return lam.sum() + t * e.sum(), 1.0 - share.T @ e, H, s
+
+    lam = lam * np.max(W / (levels @ lam))
+    # The mu gradient reads the budget residuals, so lam is solved to roundoff.
+    lam, (*_, s), _ = _descend(evaluate, lam, 100, lower=0.0, rtol=1e-20)
+    return lam, s
 
 
-def _reconstruct_with_active(
-    spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray, active: np.ndarray
-) -> np.ndarray | None:
-    """KKT rebuild on a given set of active rows; None if it is infeasible.
+def _reconstruct_primal(spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray):
+    """Yield primal points rebuilt from repaired multipliers via the KKT structure.
 
-    Row masses solve one nonnegative least-squares system: the observed
-    column equations ``sum_i a_i w_ij = count_j`` together with the tight
-    budget equations ``sum_i a_i level_ik = 1`` for every lam_k > 0, each
-    scaled to unit right-hand side. Roundoff left over is absorbed by
-    rescaling the columns exactly and trimming unseen mass.
+    At an optimum ``X_ij = a_i exp(C_ij - mu_j - lam . level_i)`` on the rows
+    whose dual constraint is tight, and every other row is empty. Only the
+    row masses a_i are unknown. They solve one nonnegative least-squares
+    system: the observed column equations ``sum_i a_i w_ij = count_j`` and the
+    budget equations ``sum_i a_i level_ik = 1`` that lam_k > 0 makes tight,
+    each scaled to a unit right-hand side. Which rows count as tight depends
+    on how accurate the multipliers are, so several dual-slack thresholds are
+    tried; infeasible rebuilds are skipped.
     """
-    if not np.any(active):
-        return None
-    R, J = spec.shape
-    counts = spec.col_counts.astype(float)
     finite = np.isfinite(mu)
     load = lam @ spec.levels.T
-    weights = np.zeros((R, J))
-    weights[:, 0] = np.exp(-load)
     # mu, lam are repaired, so every exponent below is at most zero.
-    weights[:, 1:][:, finite] = np.exp(
-        spec.lin_coeff[:, 1:][:, finite] - mu[finite] - load[:, None]
-    )
-    tight = lam > 0
-    M = np.vstack([
-        (weights[:, 1:][:, finite] / counts[finite]).T,
-        spec.levels[:, tight].T,
-    ])[:, active]
-    sol, _ = _nnls(M, np.ones(M.shape[0]))
-    a = np.zeros(R)
-    a[active] = sol
-    X = _trim_unseen(_repair_columns(a[:, None] * weights, spec), spec)
-    if not is_feasible(X, spec, tol=1e-9):
-        return None
-    return X
-
-
-def _polish(
-    X: np.ndarray, spec: AssignmentSpec, floor: float = _SOLVER_GRAD_FLOOR
-) -> np.ndarray | None:
-    """SLSQP correction from X; returns an improved feasible point or None."""
-    R, J = spec.shape
-    n = R * J
-    col_mat = _column_sum_matrix(spec).toarray()
-    budget_mat = _budget_matrix(spec).toarray()
-
-    def neg_obj(x):
-        return -log_weight_relaxed(x.reshape(R, J), spec)
-
-    def neg_grad(x):
-        return -grad_log_weight_relaxed(x.reshape(R, J), spec, floor=floor).ravel()
-
-    constraints = [
-        {
-            "type": "eq",
-            "fun": lambda x: col_mat @ x - spec.col_counts,
-            "jac": lambda x: col_mat,
-        },
-        {
-            "type": "ineq",
-            "fun": lambda x: 1.0 - budget_mat @ x,
-            "jac": lambda x: -budget_mat,
-        },
-    ]
-    try:
-        res = minimize(
-            neg_obj,
-            X.ravel(),
-            jac=neg_grad,
-            bounds=[(0.0, None)] * n,
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": min(200, max(60, 24_000 // max(n, 1))), "ftol": 1e-14},
-        )
-    except (ValueError, FloatingPointError):
-        return None
-    Xp = np.maximum(res.x.reshape(R, J), 0.0)
-    Xp = _repair_columns(Xp, spec)
-    # Trim unseen mass to absorb roundoff in the budget.
-    Xp = _trim_unseen(Xp, spec)
-    if np.any(spec.budget_use(Xp) - 1.0 > 1e-12):
-        return None
-    if not is_feasible(Xp, spec, tol=1e-9):
-        return None
-    return Xp
-
-
-def _spread_point(spec: AssignmentSpec) -> np.ndarray | None:
-    """Feasible point with every level row occupied, when one exists."""
-    R, J = spec.shape
-    total = float(spec.col_counts.sum())
-    if total == 0:
-        return None
-    cheapest = int(np.argmin(spec.levels.sum(axis=1)))
-    bottom = np.zeros((R, J))
-    bottom[cheapest, 1:] = spec.col_counts
-    uniform = np.zeros((R, J))
-    uniform[:, 1:] = spec.col_counts / R
-    bottom_use = spec.budget_use(bottom)
-    uniform_use = spec.budget_use(uniform)
-    if np.any(bottom_use > 1.0):
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        room = np.where(uniform_use > bottom_use, (1.0 - bottom_use) / (uniform_use - bottom_use), 1.0)
-    theta = min(1.0, 0.99 * float(np.min(room)))
-    if theta <= 0:
-        return None
-    return theta * uniform + (1.0 - theta) * bottom
-
-
-def _improve(
-    X: np.ndarray, value: float, spec: AssignmentSpec, seed_empty: bool = False
-) -> tuple[np.ndarray, float]:
-    """Best of the SLSQP corrections and empty-row reseeding; never returns
-    a worse point.
-
-    Each SLSQP restart converges a step further, so the correction is iterated
-    to its fixed point rather than applied once.
-    """
-    for _ in range(5):
-        candidate = _polish(X, spec, floor=GRAD_FLOOR)
-        if candidate is None:
-            break
-        candidate_value = log_weight_relaxed(candidate, spec)
-        if candidate_value <= value + 1e-13:
-            break
-        X, value = candidate, candidate_value
-    if np.any(X < 1e-12):
-        # Cells pinned at the boundary: retry with the extreme floor, whose
-        # gradients keep the pull back into vanished cells visible.
-        candidate = _polish(X, spec, floor=_SOLVER_GRAD_FLOOR)
-        if candidate is not None:
-            candidate_value = log_weight_relaxed(candidate, spec)
-            if candidate_value > value:
-                X, value = candidate, candidate_value
-    # A correction cannot open a row that holds no mass (the gain is second
-    # order, invisible to any linearization), so retry from seeded blends.
-    if seed_empty and np.any(X.sum(axis=1) <= 1e-12):
-        spread = _spread_point(spec)
-        if spread is not None:
-            for kappa in (1e-2, 1e-1):
-                candidate = _polish((1 - kappa) * X + kappa * spread, spec)
-                if candidate is not None:
-                    candidate_value = log_weight_relaxed(candidate, spec)
-                    if candidate_value > value:
-                        X, value = candidate, candidate_value
-    return X, value
-
-
-def _certify(
-    spec: AssignmentSpec, X: np.ndarray, lmo_tol: float, bound: float | None = None
-) -> float:
-    """Valid upper bound on the remaining suboptimality at X.
-
-    The oracle gap ``<grad, S - X>`` bounds the gap only where the gradient is
-    exact, i.e. at strictly interior points: directional derivatives into an
-    empty row exceed the clamped linearization by the row's entropy. The
-    Lagrangian dual value is valid unconditionally, so it is the fallback;
-    ``bound`` passes in one already computed, from any dual point.
-    """
-    value = log_weight_relaxed(X, spec)
-    if bound is None:
-        bound = _dual_upper_bound(spec, X)[0]
-    gap = bound - value
-    if np.all(X > 1e-12):
-        grad = grad_log_weight_relaxed(X, spec)
-        S = lmo(grad, spec, lmo_tol)
-        gap = min(gap, float((grad * (S - X)).sum()))
-    return max(gap, 0.0)
-
-
-def _correct(
-    X: np.ndarray, value: float, spec: AssignmentSpec, config: SolverConfig,
-    polish: bool, seed_empty: bool = False,
-) -> tuple[np.ndarray, float, float]:
-    """Optional SLSQP correction, then the KKT rebuild from the refined dual.
-
-    The rebuilt point is kept only if it is feasible and better. Whichever
-    point is kept is certified against that same dual bound, so the dual is
-    solved once. Returns the point, its value and its certified gap.
-    """
-    if polish:
-        X, value = _improve(X, value, spec, seed_empty=seed_empty)
-    bound, mu, lam = _dual_upper_bound(spec, X)
-    rebuilt = _reconstruct_primal(spec, mu, lam)
-    if rebuilt is not None:
-        rebuilt_value = log_weight_relaxed(rebuilt, spec)
-        if rebuilt_value > value:
-            X, value = rebuilt, rebuilt_value
-    return X, value, _certify(spec, X, config.lmo_tol, bound)
+    shifted = spec.lin_coeff[:, 1:][:, finite] - mu[finite] - load[:, None]
+    weights = np.zeros(spec.shape)
+    weights[:, 0] = np.exp(-load)
+    weights[:, 1:][:, finite] = np.exp(shifted)
+    M = np.vstack([(weights[:, 1:][:, finite] / spec.col_counts[finite]).T,
+                   spec.levels[:, lam > 0].T])
+    slack = -np.log(weights.sum(axis=1))  # lam . level_i - W_i
+    for cut in (1e-10, 1e-7, 1e-4, 1e-2):
+        rows = slack <= cut
+        if not np.any(rows):
+            continue
+        a = np.zeros(spec.num_levels)
+        try:
+            a[rows] = nnls(M[:, rows], np.ones(M.shape[0]))[0]
+        except RuntimeError:  # iteration limit
+            continue
+        X = _feasible(a[:, None] * weights, spec)
+        if X is not None:
+            yield X
 
 
 def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResult:
-    """Conditional-gradient ascent with a certified optimality gap.
+    """Damped-Newton continuation on the smoothed dual, with a certified gap.
 
-    Iterates ``X <- X + gamma (S - X)`` with backtracking line search
-    (halving, initial step 2/(k+2)); on small problems an SLSQP correction
-    and the KKT rebuild from the refined dual run at fixed checkpoints,
-    because plain conditional-gradient steps close the gap only sublinearly.
-    Stops as soon as the certified gap drops below ``config.delta``.
-    Otherwise, once the iteration budget runs out or the line search stalls,
-    the rebuild is tried once more before the final certificate, and a gap
-    still above ``delta`` flags the result non-certified.
+    Each stage runs Newton steps in mu until they stop decreasing the smoothed
+    dual, then scores its primal candidates and its repaired dual bound. The
+    solve stops once the certified gap drops below ``config.delta``; a gap
+    still above it when the stages or the ``config.max_iters`` Newton steps
+    run out flags the result non-certified.
     """
     if config is None:
         config = SolverConfig(delta=default_delta(spec))
-    X = initial_point(spec)
-    value = log_weight_relaxed(X, spec)
-    do_polish = X.size <= POLISH_MAX_CELLS
-    polish_at = set(_POLISH_ITERS)
+    best = initial_point(spec)
+    best_value = log_weight_relaxed(best, spec)
+    active = spec.col_counts > 0
+    c = spec.col_counts[active].astype(float)
+    C = spec.lin_coeff[:, 1:][:, active]
+    levels = spec.levels
+    kappa = levels.max(axis=1)
+    lam = np.ones(spec.dim)
 
-    iterations = 0
-    improved_at = None
-    gap = np.inf
-    for k in range(config.max_iters):
-        iterations = k
-        if do_polish and k in polish_at:
-            X, value, gap = _correct(X, value, spec, config, polish=True)
-            improved_at = value
-            if gap <= config.delta:
-                break
-        grad = grad_log_weight_relaxed(X, spec, floor=_SOLVER_GRAD_FLOOR)
-        S = lmo(grad, spec, config.lmo_tol)
-        direction = S - X
-        raw_gap = float((grad * direction).sum())
-        if raw_gap <= config.delta:
-            gap = _certify(spec, X, config.lmo_tol)
-            if gap <= config.delta:
-                break
-        gamma = min(1.0, 2.0 / (k + 2.0))
-        stepped = False
-        while gamma > 1e-14:
-            candidate = np.maximum(X + gamma * direction, 0.0)
-            new_value = log_weight_relaxed(candidate, spec)
-            if new_value > value + 1e-4 * gamma * max(raw_gap, 0.0):
-                X, value = candidate, new_value
-                stepped = True
-                break
-            gamma *= 0.5
-        if not stepped:
-            # Line search stalled; a correction step is the only way forward.
-            if do_polish and (value != improved_at or np.any(X.sum(axis=1) <= 1e-12)):
-                X, improved_value, gap = _correct(
-                    X, value, spec, config, polish=True, seed_empty=True
-                )
-                improved_at = improved_value
-                if gap > config.delta and improved_value > value:
-                    value = improved_value
-                    continue
-            break
-    else:
-        iterations = config.max_iters
+    def evaluate(mu):
+        nonlocal lam
+        Z = C - mu
+        W = np.logaddexp(0.0, logsumexp(Z, axis=1))
+        P = np.exp(Z - W[:, None])
+        lam, s = _budget_multipliers(W, levels, kappa, t, lam)
+        a = np.exp(s) / kappa
+        q = a / (kappa * t)
+        # Hessian in mu: the Schur complement of F_t's Hessian over the free lam.
+        H = np.diag(P.T @ a) - (P.T * a) @ P + (P.T * q) @ P
+        K = (P.T * q) @ levels[:, lam > 0]
+        H -= K @ np.linalg.pinv((levels[:, lam > 0].T * q) @ levels[:, lam > 0]) @ K.T
+        value = float(c @ mu + lam.sum() + t * np.exp(s).sum())
+        return value, c - P.T @ a, H, (lam, a, W, P)
 
-    # Unless X is certified or was just corrected (then gap belongs to it),
-    # one last correction, whose certificate is the one returned.
-    if gap > config.delta and value != improved_at:
-        X, value, gap = _correct(X, value, spec, config, polish=do_polish, seed_empty=True)
+    # Start each column on the row the boundary start placed most of it in.
+    mu = C[np.argmax(best[:, 1:][:, active], axis=0), np.arange(c.size)] - np.log(c)
+    mu_full = np.full(spec.num_cols - 1, np.inf)
+    bound, steps = np.inf, 0
+    t = 0.1 * max(float(spec.disc_lengths.max()), 1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_STAGES):
+            mu, (*_, (lam_t, a, W, P)), taken = _descend(evaluate, mu, config.max_iters - steps)
+            steps += taken
+            mu_full[active] = mu
+            stage_bound, lam_tight = _repaired_dual_value(spec, mu_full, lam_t)
+            bound = min(bound, stage_bound)
+            smoothed = np.zeros(spec.shape)
+            smoothed[:, 0] = a * np.exp(-W)
+            smoothed[:, 1:][:, active] = a[:, None] * P
+            for X in (_feasible(smoothed, spec), *_reconstruct_primal(spec, mu_full, lam_tight)):
+                value = -np.inf if X is None else log_weight_relaxed(X, spec)
+                if value > best_value:
+                    best, best_value = X, value
+            if bound - best_value <= config.delta or steps >= config.max_iters:
+                break
+            t *= 0.1
+    gap = max(bound - best_value, 0.0)
     return SolveResult(
-        X=X,
-        objective=float(log_weight_relaxed(X, spec)),
+        X=best,
+        objective=float(best_value),
         certified_gap=gap,
-        iterations=iterations,
+        iterations=steps,
         certified=bool(gap <= config.delta),
     )

@@ -151,13 +151,37 @@ def test_estimate_d_command(tmp_path, runner):
     assert mismatched.exit_code == 1
 
 
-def test_estimate_multiple_profiles(tmp_path, runner, monkeypatch):
+def test_estimate_multiple_profiles(tmp_path, runner):
     first = write(tmp_path, "a.json", '{"pairs": [[2, 1]]}')
     second = write(tmp_path, "b.json", '{"pairs": [[1, 2]]}')
-    monkeypatch.setenv("PML_THREADS", "2")
     result = runner.invoke(
         main, ["estimate", first, second, "--eps1", "1.0", "--eps2", "1.0"]
     )
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert isinstance(data, list) and len(data) == 2
+
+
+@pytest.mark.parametrize(
+    "command, text, args, code",
+    [
+        ("estimate", '{"pairs": [[2, 2], [1, 1]]}', ["--property", "coverage:abc"], 1),
+        ("estimate", '{"pairs": [[1, 0]]}', [], 1),
+        ("estimate", '{"pairs": [[2, -1]]}', [], 1),
+        ("estimate", '{"pairs": [[1, 5]]}', ["--property", "uniformity:3"], 1),
+        ("estimate-d", '{"d": 2, "entries": [[[1, 0], 0]]}', [], 1),
+        ("estimate-d", '{"d": 2, "entries": [[[0, 0], 1]]}', [], 1),
+        # n = 100000 puts grid levels near 5e-11; the solve must still certify.
+        ("estimate", '{"pairs": [[1, 100000]]}', [], 0),
+    ],
+)
+def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, args, code):
+    path = write(tmp_path, "p.json", text)
+    result = runner.invoke(main, [command, path, *args])
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if code == 1:
+        assert len(result.stderr.strip().splitlines()) == 1
+    else:
+        assert json.loads(result.stdout)["certified"] is True

@@ -14,52 +14,11 @@ from pml import (
     initial_point,
     is_feasible,
     iter_feasible,
-    lmo,
     log_weight_relaxed,
     solve,
 )
 from pml.solver import _repaired_dual_value
-from conftest import tiny_solver_specs
-
-
-def test_lmo_zero_gradient_returns_feasible():
-    spec = AssignmentSpec(levels=[0.25, 0.5], freqs=[0, 1, 2], col_counts=[1, 1])
-    S = lmo(np.zeros(spec.shape), spec)
-    assert is_feasible(S, spec)
-
-
-def test_lmo_prefers_larger_gradient_row():
-    spec = AssignmentSpec(levels=[0.25, 0.5], freqs=[0, 1], col_counts=[1])
-    G = np.array([[0.0, 3.0], [0.0, 1.0]])
-    S = lmo(G, spec)
-    assert S[0, 1] == pytest.approx(1.0)
-    assert S[1, 1] == pytest.approx(0.0)
-
-
-def test_lmo_spends_budget_on_unseen():
-    spec = AssignmentSpec(levels=[0.25, 0.5], freqs=[0, 1], col_counts=[0])
-    G = np.zeros((2, 2))
-    G[0, 0] = 2.0
-    S = lmo(G, spec)
-    assert S[0, 0] == pytest.approx(1 / 0.25)
-    assert (G * S).sum() == pytest.approx(2.0 / 0.25)
-
-
-def test_lmo_outputs_are_near_vertices(rng):
-    # Basic solutions: beyond one placement per observed column, at most one
-    # extra nonzero per binding budget constraint.
-    for spec in tiny_solver_specs():
-        for _ in range(5):
-            G = rng.normal(size=spec.shape)
-            S = lmo(G, spec)
-            assert is_feasible(S, spec)
-            observed = S[:, 1:]
-            extra = sum(
-                max(0, int((observed[:, j] > 1e-9).sum()) - 1)
-                for j in range(observed.shape[1])
-                if spec.col_counts[j] > 0
-            )
-            assert extra <= spec.dim
+from conftest import random_fractional_point, tiny_solver_specs
 
 
 def test_initial_point_examples():
@@ -87,7 +46,7 @@ def test_initial_point_infeasible():
 
 
 def test_solve_certifies_and_dominates_integral_max():
-    for spec in tiny_solver_specs()[:10]:
+    for spec in tiny_solver_specs():
         delta = 1e-6 * max(float(spec.disc_lengths.max()) * math.log(max(float(spec.disc_lengths.max()), 2.0)), 1.0)
         result = solve(spec, SolverConfig(delta=delta, max_iters=300))
         assert is_feasible(result.X, spec, tol=1e-9)
@@ -98,6 +57,22 @@ def test_solve_certifies_and_dominates_integral_max():
         assert result.objective >= best - delta
         assert result.certified
         assert result.certified_gap <= delta
+
+
+def test_solve_bound_dominates_feasible_points(rng):
+    # objective + certified_gap bounds the relaxed optimum from above, so no
+    # feasible point may score above it; a loose delta checks the bound of an
+    # early stage too, while its gap is still large.
+    for spec in tiny_solver_specs():
+        points = [random_fractional_point(rng, spec) for _ in range(5)]
+        points.append(max((X.astype(float) for X in iter_feasible(spec, cap=500_000)),
+                          key=lambda X: log_weight_relaxed(X, spec)))
+        for delta in (default_delta(spec), 10.0):
+            result = solve(spec, SolverConfig(delta=delta))
+            claim = result.objective + result.certified_gap
+            for point in points:
+                assert is_feasible(point, spec)
+                assert log_weight_relaxed(point, spec) <= claim + 1e-12 * max(1.0, abs(claim))
 
 
 def test_solve_point_mass_profile_hits_hand_built_point():
@@ -150,6 +125,28 @@ def test_solve_certifies_joint_aa_pair():
     assert result.certified_gap <= delta
     assert result.iterations < 300
     assert abs(result.objective - 0.0044543508) <= delta
+
+
+@pytest.mark.parametrize(
+    "sequences",
+    [["cbcfhdhbbd", "cddbcbpccb"], ["sgdbochffb", "bbgcedfbbb", "cbfgbbbbbb"]],
+)
+def test_solve_certifies_joint_profiles_at_default_eps(sequences):
+    # d = 2 and d = 3 at n = 10 on the pipeline's default grids: 144 and 1331
+    # levels against 80 and 728 frequency columns, few of them observed.
+    dprofile = d_profile_of([list(s) for s in sequences])
+    eps = tuple(nk ** (-1.0 / (2 * dprofile.d + 1)) for nk in dprofile.n)
+    grids = build_d_grids(dprofile.n, eps, eps)
+    counts, _ = discretize_d_profile(dprofile, grids)
+    spec = AssignmentSpec(
+        levels=grids.level_values,
+        freqs=np.vstack([np.zeros((1, dprofile.d)), grids.freq_values]),
+        col_counts=counts,
+    )
+    result = solve(spec)
+    assert is_feasible(result.X, spec, tol=1e-9)
+    assert result.certified
+    assert result.certified_gap <= default_delta(spec)
 
 
 def test_default_delta_scales_with_length():
