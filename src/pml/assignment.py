@@ -33,6 +33,7 @@ __all__ = [
     "has_commensurable_levels",
     "log_count_bound",
     "log_weight_sum",
+    "log_weight_total",
 ]
 
 GRAD_FLOOR = 1e-12
@@ -365,11 +366,15 @@ def log_count_bound(spec: AssignmentSpec) -> float:
     return out + 1e-9
 
 
-def log_weight_sum(spec: AssignmentSpec, cap: int = 200_000) -> float:
-    """log of the sum of exp(log_weight) over the whole feasible set."""
+def log_weight_total(matrices, spec: AssignmentSpec) -> float:
+    """log of the sum of exp(log_weight) over an iterable of integral matrices.
+
+    Matrices are scored 8192 at a time, so the iterable may be a long
+    generator; an empty one gives -inf.
+    """
     chunks: list[float] = []
     batch: list[np.ndarray] = []
-    for X in iter_feasible(spec, cap=cap):
+    for X in matrices:
         batch.append(X)
         if len(batch) == 8192:
             chunks.append(float(logsumexp(log_weight(np.stack(batch), spec))))
@@ -379,3 +384,8 @@ def log_weight_sum(spec: AssignmentSpec, cap: int = 200_000) -> float:
     if not chunks:
         return float("-inf")
     return float(logsumexp(np.array(chunks)))
+
+
+def log_weight_sum(spec: AssignmentSpec, cap: int = 200_000) -> float:
+    """log of the sum of exp(log_weight) over the whole feasible set."""
+    return log_weight_total(iter_feasible(spec, cap=cap), spec)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 solver result not certified
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -87,6 +88,12 @@ def _load_json(path: str) -> dict:
 def _validate_eps(_ctx, param, value):
     if value is not None and not 0 < value <= 1:
         raise click.ClickException(f"{param.name} must lie in (0, 1]")
+    return value
+
+
+def _validate_delta(_ctx, param, value):
+    if value is not None and not (value > 0 and math.isfinite(value)):
+        raise click.ClickException(f"{param.name} must be a positive finite number")
     return value
 
 
@@ -172,15 +179,14 @@ def _run_one(profile: Profile, eps1, eps2, delta, props):
               help="Probability-grid coarseness in (0, 1]; default n^(-1/3).")
 @click.option("--eps2", type=float, default=None, callback=_validate_eps,
               help="Frequency-grid coarseness in (0, 1]; default n^(-1/3).")
-@click.option("--delta", type=float, default=None, help="Solver target gap (log units).")
+@click.option("--delta", type=float, default=None, callback=_validate_delta,
+              help="Solver target gap (log units), positive and finite.")
 @click.option("--property", "properties", multiple=True,
               help="entropy | support | coverage:m | uniformity:k (repeatable).")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "plain"]), default="json")
 def cmd_estimate(profiles, eps1, eps2, delta, properties, output, fmt):
     """Approximate PML for one or more profile JSON files."""
-    if delta is not None and delta <= 0:
-        raise click.ClickException("delta must be positive")
     props = _parse_properties(properties)
     parsed = [_read_profile(path, Profile) for path in profiles]
     results = [_run_one(p, eps1, eps2, delta, props) for p in parsed]
@@ -194,7 +200,7 @@ def cmd_estimate(profiles, eps1, eps2, delta, properties, output, fmt):
 @click.option("--d", "dim", type=int, default=None, help="Expected dimension (checked).")
 @click.option("--eps1", type=float, default=None, callback=_validate_eps)
 @click.option("--eps2", type=float, default=None, callback=_validate_eps)
-@click.option("--delta", type=float, default=None)
+@click.option("--delta", type=float, default=None, callback=_validate_delta)
 @click.option("--property", "properties", multiple=True,
               help="entropy | support | coverage:m | uniformity:k | kl (repeatable).")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -224,13 +230,16 @@ def cmd_exact(profile_path, dist_path):
     """Exact log-probability of a profile under a distribution JSON ({"probs": [...]})."""
     profile = _read_profile(profile_path, Profile)
     data = _load_json(dist_path)
-    if "probs" not in data:
+    if not isinstance(data, dict) or "probs" not in data:
         raise click.ClickException(f"{dist_path}: expected a 'probs' array")
+    # Both size guards subclass ValueError, so they are caught first.
     try:
         value = exact.profile_logprob(np.asarray(data["probs"], dtype=float), profile)
     except (exact.OracleSizeError, EnumerationCapError) as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(EXIT_SIZE_GUARD)
+    except (TypeError, ValueError) as err:
+        raise click.ClickException(f"{dist_path}: {err}") from None
     click.echo(format(value, ".15g"))
 
 

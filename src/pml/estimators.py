@@ -17,6 +17,7 @@ from .rounding import RoundedSolution
 __all__ = [
     "LevelSetDistribution",
     "PairedLevelSetDistribution",
+    "merge_levels",
     "pseudo_from_assignment",
     "normalize",
     "entropy",
@@ -27,6 +28,23 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9
+
+
+def merge_levels(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the counts of equal level rows of the (L, d) ``values``.
+
+    Rows come back distinct, in descending lexicographic order; counts keep
+    their dtype.
+    """
+    merged: dict[tuple[float, ...], float] = {}
+    for row, count in zip(values, counts):
+        key = tuple(float(v) for v in row)
+        merged[key] = merged.get(key, 0) + count
+    keys = sorted(merged, reverse=True)
+    return (
+        np.array(keys, dtype=float).reshape(len(keys), values.shape[1]),
+        np.array([merged[k] for k in keys], dtype=counts.dtype),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,18 +63,9 @@ class LevelSetDistribution:
             raise ValueError("level values must lie in (0, 1]")
         if np.any(counts <= 0):
             raise ValueError("level counts must be positive")
-        order = np.argsort(-values)
-        values, counts = values[order], counts[order]
-        keep_values: list[float] = []
-        keep_counts: list[float] = []
-        for v, c in zip(values, counts):
-            if keep_values and v == keep_values[-1]:
-                keep_counts[-1] += c
-            else:
-                keep_values.append(float(v))
-                keep_counts.append(float(c))
-        object.__setattr__(self, "values", np.array(keep_values))
-        object.__setattr__(self, "counts", np.array(keep_counts))
+        values, counts = merge_levels(values[:, None], counts)
+        object.__setattr__(self, "values", values[:, 0])
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -108,13 +117,9 @@ class PairedLevelSetDistribution:
             raise ValueError("each level must be nonzero in some coordinate")
         if np.any(counts <= 0):
             raise ValueError("level counts must be positive")
-        merged: dict[tuple, float] = {}
-        for row, count in zip(values, counts):
-            key = tuple(float(v) for v in row)
-            merged[key] = merged.get(key, 0.0) + float(count)
-        keys = sorted(merged, reverse=True)
-        object.__setattr__(self, "values", np.array(keys, dtype=float).reshape(len(keys), values.shape[1]))
-        object.__setattr__(self, "counts", np.array([merged[k] for k in keys]))
+        values, counts = merge_levels(values, counts)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         return int(self.counts.size)

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from . import assignment
+from .estimators import merge_levels
 from .exact import OracleSizeError
 from .grids import FrequencyGrid, ProbabilityGrid, build_frequency_grid, build_probability_grid
 from .profiles import Profile
@@ -143,9 +144,10 @@ class DGrids:
     """Per-coordinate ladders and their cartesian products.
 
     ``level_values`` is (R, d) with R the product of per-coordinate ladder
-    sizes; row 0 is the all-minimal tuple. ``freq_values`` holds the observed
-    frequency columns: the product of each coordinate's grid extended with 0,
-    minus the all-zero tuple.
+    sizes; row 0 is the all-minimal tuple. ``freq_values`` holds every
+    frequency tuple of the grid: the product of each coordinate's grid
+    extended with 0, minus the all-zero tuple. A profile fills few of them;
+    the pipeline keeps only those as assignment columns.
     """
 
     prob_grids: tuple[ProbabilityGrid, ...]
@@ -294,7 +296,7 @@ def levelset_d_profile_logprob(
     if values.ndim == 1:
         values = values[:, None]
     counts = np.asarray(counts, dtype=np.int64).ravel()
-    values, counts = _merge_levels(values, counts)
+    values, counts = merge_levels(values, counts)  # the grouped sum needs distinct rows
     freqs = dprofile.freq_array().astype(float)
     spec = assignment.AssignmentSpec(
         levels=np.where(values > 0, values, 1.0),
@@ -303,33 +305,10 @@ def levelset_d_profile_logprob(
         row_counts=counts,
     )
     blocked = _blocked_cells(values, freqs)
-    chunks: list[float] = []
-    batch: list[np.ndarray] = []
-    for X in assignment.iter_feasible(spec, cap=cap):
-        if np.any(X[:, 1:][blocked] > 0):
-            continue
-        batch.append(X)
-        if len(batch) == 8192:
-            chunks.append(float(logsumexp(assignment.log_weight(np.stack(batch), spec))))
-            batch = []
-    if batch:
-        chunks.append(float(logsumexp(assignment.log_weight(np.stack(batch), spec))))
-    if not chunks:
-        return float("-inf")
-    return float(log_d_profile_coefficient(dprofile) + logsumexp(np.array(chunks)))
-
-
-def _merge_levels(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge duplicate level tuples; the grouped sum requires distinct rows."""
-    merged: dict[tuple[float, ...], int] = {}
-    for row, count in zip(values, counts):
-        key = tuple(float(v) for v in row)
-        merged[key] = merged.get(key, 0) + int(count)
-    keys = sorted(merged, reverse=True)
-    return (
-        np.array(keys, dtype=float).reshape(len(keys), values.shape[1]),
-        np.array([merged[k] for k in keys], dtype=np.int64),
+    allowed = (
+        X for X in assignment.iter_feasible(spec, cap=cap) if not np.any(X[:, 1:][blocked] > 0)
     )
+    return float(log_d_profile_coefficient(dprofile) + assignment.log_weight_total(allowed, spec))
 
 
 def _blocked_cells(values: np.ndarray, freqs: np.ndarray) -> np.ndarray:

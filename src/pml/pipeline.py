@@ -21,9 +21,12 @@ from .estimators import (
     normalize,
     pseudo_from_assignment,
 )
-from .grids import build_frequency_grid, build_probability_grid, discretize_profile
 from .multi import DProfile, build_d_grids, discretize_d_profile, log_d_profile_coefficient
-from .profiles import Profile, log_profile_coefficient
+from .profiles import Profile
+
+# bench/spans.py patches these three names on this module and fails on a
+# missing one. The pipeline builds grids through build_d_grids for every d.
+from .grids import build_frequency_grid, build_probability_grid, discretize_profile  # noqa: F401,E402
 
 __all__ = ["PipelineDiagnostics", "approximate_pml", "approximate_pml_d"]
 
@@ -39,6 +42,9 @@ class PipelineDiagnostics:
     term (log of the feasible-set size), the solver's certified gap, the
     relaxation error bounds for the unknown optimum and for the rounded
     assignment, and the rounding count-term bound.
+
+    ``num_freqs`` counts the assignment problem's observed columns: the
+    distinct discretized frequency tuples of the profile.
     """
 
     d: int
@@ -125,24 +131,61 @@ def _stirling_lower(X: np.ndarray) -> float:
     return float((1.0 + 0.5 * np.log(positive + 1.0)).sum())
 
 
-def _run(
-    level_values: np.ndarray,
-    freq_values: np.ndarray,
-    col_counts: np.ndarray,
-    n: tuple[int, ...],
-    n_disc: tuple[int, ...],
-    eps1: np.ndarray,
-    eps2: np.ndarray,
-    delta: float | None,
-    log_coeff: float,
-    max_iters: int,
-):
-    d = level_values.shape[1]
+def approximate_pml(
+    profile: Profile,
+    eps1: float | None = None,
+    eps2: float | None = None,
+    delta: float | None = None,
+    max_iters: int = 300,
+) -> tuple[LevelSetDistribution, PipelineDiagnostics]:
+    """Compute an approximate PML distribution for an observed profile.
+
+    Grid coarseness defaults to ``n**(-1/3)`` for both probability and
+    frequency grids; ``delta`` is the solver's target additive gap. This is
+    :func:`approximate_pml_d` at d = 1.
+    """
+    return approximate_pml_d(
+        DProfile.from_profile(profile),
+        None if eps1 is None else (eps1,),
+        None if eps2 is None else (eps2,),
+        delta,
+        max_iters,
+    )
+
+
+def approximate_pml_d(
+    dprofile: DProfile,
+    eps1: tuple[float, ...] | None = None,
+    eps2: tuple[float, ...] | None = None,
+    delta: float | None = None,
+    max_iters: int = 300,
+) -> tuple[LevelSetDistribution | PairedLevelSetDistribution, PipelineDiagnostics]:
+    """Approximate PML over d sample sequences jointly (d <= 3).
+
+    Per-coordinate grid coarseness defaults to ``n_k**(-1/(2d+1))``, which is
+    ``n**(-1/3)`` at d = 1. The assignment problem has one column per
+    observed discretized frequency tuple, in grid order, plus the unseen
+    column; ``diag.num_freqs`` counts the observed ones.
+    """
+    d = dprofile.d
+    n = dprofile.n
+    if eps1 is None:
+        eps1 = tuple(min(1.0, nk ** (-1.0 / (2 * d + 1))) for nk in n)
+    if eps2 is None:
+        eps2 = tuple(min(1.0, nk ** (-1.0 / (2 * d + 1))) for nk in n)
+    grids = build_d_grids(n, eps1, eps2)
+    counts, n_disc = discretize_d_profile(dprofile, grids)
+    # Every feasible matrix is zero on an empty column, so dropping those
+    # columns keeps the feasible set and its scores, and every slack bound
+    # below holds with J = observed columns + 1.
+    observed = counts > 0
+    freqs, col_counts = grids.freq_values[observed], counts[observed]
     spec = assignment.AssignmentSpec(
-        levels=level_values,
-        freqs=np.vstack([np.zeros((1, freq_values.shape[1])), freq_values]),
+        levels=grids.level_values,
+        freqs=np.vstack([np.zeros((1, d)), freqs]),
         col_counts=col_counts,
     )
+    disc_profile = DProfile(tuple(zip(map(tuple, freqs), col_counts)), n_disc)
     if delta is None:
         delta = solver.default_delta(spec)
     result = solver.solve(spec, solver.SolverConfig(delta=delta, max_iters=max_iters))
@@ -158,14 +201,14 @@ def _run(
     log_count, count_method = _log_num_assignments(spec)
     diag = PipelineDiagnostics(
         d=d,
-        n=tuple(int(v) for v in n),
-        n_disc=tuple(int(v) for v in n_disc),
+        n=n,
+        n_disc=n_disc,
         eps1=tuple(float(e) for e in eps1),
         eps2=tuple(float(e) for e in eps2),
         delta=float(delta),
         num_levels=spec.num_levels,
         num_freqs=spec.num_cols - 1,
-        log_coeff_disc_profile=float(log_coeff),
+        log_coeff_disc_profile=log_d_profile_coefficient(disc_profile),
         solver_objective=result.objective,
         solver_gap=result.certified_gap,
         solver_iterations=result.iterations,
@@ -174,8 +217,8 @@ def _run(
         log_weight_relaxed_rounded=float(log_g_round),
         log_weight_relaxed_fractional=result.objective,
         mass_before_normalize=tuple(float(m) for m in mass),
-        slack_prob_disc=float((eps1 * n_arr).sum()),
-        slack_freq_disc=_freq_disc_slack(d, n_arr, eps2),
+        slack_prob_disc=float((np.asarray(eps1, dtype=float) * n_arr).sum()),
+        slack_freq_disc=_freq_disc_slack(d, n_arr, np.asarray(eps2, dtype=float)),
         log_num_assignments=float(log_count),
         assignment_count_method=count_method,
         slack_relax_upper=_stirling_upper_bound(spec),
@@ -186,81 +229,3 @@ def _run(
         slack_round_exact=max(0.0, result.objective - float(log_g_round)),
     )
     return dist, diag
-
-
-def approximate_pml(
-    profile: Profile,
-    eps1: float | None = None,
-    eps2: float | None = None,
-    delta: float | None = None,
-    max_iters: int = 300,
-) -> tuple[LevelSetDistribution, PipelineDiagnostics]:
-    """Compute an approximate PML distribution for an observed profile.
-
-    Grid coarseness defaults to ``n**(-1/3)`` for both probability and
-    frequency grids; ``delta`` is the solver's target additive gap.
-    """
-    n = profile.n
-    if eps1 is None:
-        eps1 = min(1.0, n ** (-1.0 / 3.0))
-    if eps2 is None:
-        eps2 = min(1.0, n ** (-1.0 / 3.0))
-    pgrid = build_probability_grid(max(n, 2), eps1)
-    fgrid = build_frequency_grid(n, eps2)
-    disc = discretize_profile(profile, fgrid)
-    return _run(
-        level_values=pgrid.values[:, None],
-        freq_values=fgrid.values.astype(float)[:, None],
-        col_counts=disc.counts,
-        n=(n,),
-        n_disc=(disc.n_prime,),
-        eps1=np.array([eps1]),
-        eps2=np.array([eps2]),
-        delta=delta,
-        log_coeff=log_profile_coefficient(disc.to_profile()),
-        max_iters=max_iters,
-    )
-
-
-def approximate_pml_d(
-    dprofile: DProfile,
-    eps1: tuple[float, ...] | None = None,
-    eps2: tuple[float, ...] | None = None,
-    delta: float | None = None,
-    max_iters: int = 300,
-) -> tuple[LevelSetDistribution | PairedLevelSetDistribution, PipelineDiagnostics]:
-    """Approximate PML over d sample sequences jointly (d <= 3).
-
-    Per-coordinate grid coarseness defaults to ``n_k**(-1/(2d+1))``. For
-    d = 1 this reduces exactly to :func:`approximate_pml` on the induced
-    profile.
-    """
-    d = dprofile.d
-    n = dprofile.n
-    if eps1 is None:
-        eps1 = tuple(min(1.0, nk ** (-1.0 / (2 * d + 1))) for nk in n)
-    if eps2 is None:
-        eps2 = tuple(min(1.0, nk ** (-1.0 / (2 * d + 1))) for nk in n)
-    if d == 1:
-        return approximate_pml(
-            dprofile.to_profile(), eps1=eps1[0], eps2=eps2[0], delta=delta, max_iters=max_iters
-        )
-    grids = build_d_grids(n, eps1, eps2)
-    counts, n_disc = discretize_d_profile(dprofile, grids)
-    observed = counts > 0
-    disc_profile = DProfile(
-        tuple(zip(map(tuple, grids.freq_values[observed]), counts[observed])), n_disc
-    )
-    return _run(
-        level_values=grids.level_values,
-        freq_values=grids.freq_values,
-        col_counts=counts,
-        n=n,
-        n_disc=n_disc,
-        eps1=np.asarray(eps1, dtype=float),
-        eps2=np.asarray(eps2, dtype=float),
-        delta=delta,
-        log_coeff=log_d_profile_coefficient(disc_profile),
-        max_iters=max_iters,
-    )
-

@@ -173,11 +173,19 @@ def test_estimate_multiple_profiles(tmp_path, runner):
         ("estimate-d", '{"d": 2, "entries": [[[0, 0], 1]]}', [], 1),
         # n = 100000 puts grid levels near 5e-11; the solve must still certify.
         ("estimate", '{"pairs": [[1, 100000]]}', [], 0),
+        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1]]}', ["--delta", "0"], 1),
+        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1]]}', ["--delta", "-1"], 1),
+        ("estimate", '{"pairs": [[1, 2]]}', ["--delta", "nan"], 1),
+        ("estimate", '{"pairs": [[1, 2]]}', ["--delta", "inf"], 1),
+        # exact reads the profile and the distribution from the same file.
+        ("exact", '{"pairs": [[1, 2]], "probs": [-0.5, 1.5]}', ["{path}"], 1),
+        ("exact", '{"pairs": [[1, 2]], "probs": []}', ["{path}"], 1),
+        ("exact", '{"pairs": [[1, 2]], "probs": "abc"}', ["{path}"], 1),
     ],
 )
 def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, args, code):
     path = write(tmp_path, "p.json", text)
-    result = runner.invoke(main, [command, path, *args])
+    result = runner.invoke(main, [command, path, *(a.replace("{path}", path) for a in args)])
     assert result.exit_code == code, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output

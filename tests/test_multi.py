@@ -189,6 +189,24 @@ def test_pipeline_d3_runs_and_normalizes():
         d_profile_of(["a", "a", "a", "a"])
 
 
+@pytest.mark.parametrize(
+    "sequences",
+    [["aaaaaaabbbbccd"], ["cbcfhdhbbd", "cddbcbpccb"], ["sgdbochffb", "bbgcedfbbb", "cbfgbbbbbb"]],
+)
+def test_pipeline_columns_are_the_observed_tuples(sequences):
+    # One assignment column per distinct discretized frequency tuple, at the
+    # default grids, where most of the frequency-grid product stays empty.
+    dp = d_profile_of([list(s) for s in sequences])
+    _, diag = approximate_pml_d(dp)
+    grids = build_d_grids(dp.n, diag.eps1, diag.eps2)
+    observed = {
+        tuple(grid.ceil_value(int(f)) if f else 0 for grid, f in zip(grids.freq_grids, freqs))
+        for freqs, _ in dp.entries
+    }
+    assert diag.num_freqs == len(observed)
+    assert diag.certified
+
+
 def test_brute_force_d2_prefers_matching_pair():
     dp = d_profile_of(["aa", "aa"])
     pair, logprob = brute_force_pml_d(dp, support_cap=2, resolution=4)
