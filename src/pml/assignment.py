@@ -14,11 +14,12 @@ matrices and is concave.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
+from ._special import log_factorial, logsumexp
 from .combinatorics import composition_array, num_compositions
 
 __all__ = [
@@ -151,9 +152,14 @@ def log_weight(X, spec: AssignmentSpec) -> float | np.ndarray:
         raise ValueError("assignments are nonnegative")
     rows = X.sum(axis=-1)
     lin = (X * spec.lin_coeff).sum(axis=(-2, -1))
-    count = gammaln(rows + 1).sum(axis=-1) - gammaln(X + 1).sum(axis=(-2, -1))
+    count = log_factorial(rows).sum(axis=-1) - log_factorial(X).sum(axis=(-2, -1))
     out = lin + count
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """``x log x`` entrywise, with 0 log 0 = 0."""
+    return x * np.log(np.where(x > 0, x, 1.0))
 
 
 def log_weight_relaxed(X, spec: AssignmentSpec) -> float | np.ndarray:
@@ -167,7 +173,7 @@ def log_weight_relaxed(X, spec: AssignmentSpec) -> float | np.ndarray:
         raise ValueError("assignments are nonnegative")
     rows = X.sum(axis=-1)
     lin = (X * spec.lin_coeff).sum(axis=(-2, -1))
-    ent = xlogy(rows, rows).sum(axis=-1) - xlogy(X, X).sum(axis=(-2, -1))
+    ent = _xlogx(rows).sum(axis=-1) - _xlogx(X).sum(axis=(-2, -1))
     out = lin + ent
     return float(out) if np.ndim(out) == 0 else out
 
@@ -300,14 +306,44 @@ def has_commensurable_levels(spec: AssignmentSpec) -> bool:
     return _commensurable_units(spec) is not None
 
 
+def _count_unseen_fills(spec: AssignmentSpec, cap: int) -> int:
+    """Number of matrices :func:`iter_feasible` yields, without building them.
+
+    Runs the same recursion over the unseen column with the same float
+    arithmetic (on Python floats), counts the last row's fills in closed
+    form, and raises :class:`EnumerationCapError` once the total passes `cap`.
+    """
+    levels = spec.levels.tolist()
+    last = len(levels) - 1
+    total = 0
+
+    def fill(i, rem):
+        nonlocal total
+        max_units = math.floor(min(r / lv + 1e-12 for r, lv in zip(rem, levels[i])))
+        if i == last:
+            total += max(max_units + 1, 0)
+            if total > cap:
+                raise EnumerationCapError(f"feasible set exceeds cap {cap}")
+            return
+        for u in range(max_units + 1):
+            fill(i + 1, tuple(r - u * lv for r, lv in zip(rem, levels[i])))
+
+    for obs in _observed_combos(spec, cap):
+        remaining = 1.0 - spec.levels.T @ obs.sum(axis=1)
+        if not np.any(remaining < -1e-12):
+            fill(0, tuple(map(float, remaining)))
+    return total
+
+
 def count_feasible(spec: AssignmentSpec, cap: int = 2_000_000) -> int:
     """Exact cardinality of the integral feasible set.
 
     For the budget variant the unseen column is counted with an integer
     lattice dynamic program, which requires the level values to be integer
-    multiples of the smallest level (true for grids built with eps = 1).
-    Raises :class:`EnumerationCapError` when the count cannot be obtained
-    within the cap.
+    multiples of the smallest level (true for grids built with eps = 1);
+    other levels have their unseen fills counted one by one. Raises
+    :class:`EnumerationCapError` when the count cannot be obtained within
+    the cap.
     """
     R, _ = spec.shape
     if spec.row_counts is not None:
@@ -319,10 +355,7 @@ def count_feasible(spec: AssignmentSpec, cap: int = 2_000_000) -> int:
 
     units = _commensurable_units(spec)
     if units is None:
-        total = 0
-        for _ in iter_feasible(spec, cap=cap):
-            total += 1
-        return total
+        return _count_unseen_fills(spec, cap)
     unit_costs, budgets = units
 
     # ways[b1, .., bd] = number of unseen fills for rows >= i within budget b.
@@ -361,7 +394,7 @@ def log_count_bound(spec: AssignmentSpec) -> float:
     out = 0.0
     for count in spec.col_counts:
         c = int(count)
-        out += float(gammaln(c + R) - gammaln(c + 1) - gammaln(R))
+        out += log_factorial(c + R - 1) - log_factorial(c) - log_factorial(R - 1)
     out += float(np.log(spec.row_caps() + 1.0).sum())
     return out + 1e-9
 

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._special import logsumexp
 from .combinatorics import composition_array, iter_partitions
 from .profiles import Profile, TypeVector, log_profile_coefficient
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import assignment
+from ._special import log_factorial, logsumexp
 from .estimators import merge_levels
 from .exact import OracleSizeError
 from .grids import FrequencyGrid, ProbabilityGrid, build_frequency_grid, build_probability_grid
@@ -212,8 +212,8 @@ def log_d_profile_coefficient(dprofile: DProfile) -> float:
     freqs = dprofile.freq_array()
     counts = dprofile.count_array()
     for k, nk in enumerate(dprofile.n):
-        out += gammaln(nk + 1)
-        out -= float((counts * gammaln(freqs[:, k] + 1)).sum())
+        out += log_factorial(nk)
+        out -= float((counts * log_factorial(freqs[:, k])).sum())
     return float(out)
 
 

@@ -105,8 +105,8 @@ def _freq_disc_slack(d: int, n: np.ndarray, eps2: np.ndarray) -> float:
 
 def _log_num_assignments(spec: assignment.AssignmentSpec) -> tuple[float, str]:
     # Exact counting is fast when the level values are commensurable (an
-    # integer-lattice DP covers the unseen column); otherwise it degenerates
-    # to raw enumeration, so only tiny sets are worth counting directly.
+    # integer-lattice DP covers the unseen column); otherwise it visits every
+    # unseen fill, so only tiny sets are worth counting directly.
     cap = 150_000 if assignment.has_commensurable_levels(spec) else 4_000
     try:
         count = assignment.count_feasible(spec, cap=cap)

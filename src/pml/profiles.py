@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import gammaln
+
+from ._special import log_factorial
 
 __all__ = [
     "TypeVector",
@@ -136,9 +137,9 @@ def log_profile_coefficient(profile: Profile) -> float:
     large lengths stay finite.
     """
     n = profile.n
-    out = gammaln(n + 1)
+    out = log_factorial(n)
     for freq, count in profile.pairs:
-        out -= count * gammaln(freq + 1)
+        out -= count * log_factorial(freq)
     return float(out)
 
 

@@ -26,15 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.special import logsumexp
 
+from ._special import logsumexp
 from .assignment import AssignmentSpec, is_feasible, log_weight_relaxed
 
 # bench/spans.py patches linprog, minimize, log_weight_relaxed and
 # grad_log_weight_relaxed on this module and fails on a missing name; these
-# imports keep the three this solver does not call bound until it stops.
-from scipy.optimize import linprog, minimize  # noqa: F401,E402
+# keep the three this solver does not call bound until it stops.
+linprog = minimize = None  # the solver makes no LP or NLP call, so no scipy import
 from .assignment import grad_log_weight_relaxed  # noqa: F401,E402
 
 __all__ = [
@@ -247,6 +246,52 @@ def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, t:
     return lam, s
 
 
+def _nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> np.ndarray:
+    """Lawson-Hanson active-set solution of ``min ||A x - b||`` over ``x >= 0``.
+
+    Each least-squares solve on the passive set counts as one step; raises
+    RuntimeError after ``maxiter`` of them (default 3n).
+    """
+    m, n = A.shape
+    maxiter = 3 * n if maxiter is None else maxiter
+    tol = 10 * max(m, n) * np.finfo(float).eps * float(
+        np.abs(A).max(initial=0.0) * np.abs(b).max(initial=0.0))
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    steps = 0
+
+    def solve_passive():
+        nonlocal steps
+        steps += 1
+        if steps > maxiter:
+            raise RuntimeError("NNLS iteration limit reached")
+        s = np.zeros(n)
+        s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        return s
+
+    w = A.T @ b
+    while True:
+        k = int(np.argmax(np.where(passive, -np.inf, w)))
+        if passive[k] or not w[k] > tol:
+            return x
+        passive[k] = True
+        s = solve_passive()
+        if s[k] <= 0:  # column k only looked useful through roundoff
+            passive[k] = False
+            w[k] = -np.inf
+            continue
+        while np.any(s[passive] <= 0):
+            blocked = passive & (s <= 0)
+            ratio = x[blocked] / (x[blocked] - s[blocked])
+            alpha = ratio.min()
+            x += alpha * (s - x)
+            x[np.flatnonzero(blocked)[ratio == alpha]] = 0.0
+            passive &= x > 0
+            s = solve_passive()
+        x = s
+        w = A.T @ (b - A @ x)
+
+
 def _reconstruct_primal(spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray):
     """Yield primal points rebuilt from repaired multipliers via the KKT structure.
 
@@ -275,7 +320,7 @@ def _reconstruct_primal(spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray):
             continue
         a = np.zeros(spec.num_levels)
         try:
-            a[rows] = nnls(M[:, rows], np.ones(M.shape[0]))[0]
+            a[rows] = _nnls(M[:, rows], np.ones(M.shape[0]))
         except RuntimeError:  # iteration limit
             continue
         X = _feasible(a[:, None] * weights, spec)

@@ -7,7 +7,10 @@ from pml import (
     AssignmentSpec,
     EnumerationCapError,
     Profile,
+    build_d_grids,
     count_feasible,
+    d_profile_of,
+    discretize_d_profile,
     grad_log_weight_relaxed,
     is_feasible,
     iter_feasible,
@@ -18,6 +21,7 @@ from pml import (
     log_weight_sum,
     profile_logprob,
 )
+from pml.assignment import has_commensurable_levels
 from conftest import random_fractional_point, tiny_solver_specs
 
 
@@ -212,3 +216,31 @@ def test_midpoint_concavity(rng):
             Y = random_fractional_point(rng, spec)
             mid = log_weight_relaxed((X + Y) / 2, spec)
             assert mid >= 0.5 * (log_weight_relaxed(X, spec) + log_weight_relaxed(Y, spec)) - 1e-9
+
+
+def default_grid_spec(sequences):
+    """The pipeline's assignment problem for these samples at the default grids."""
+    dp = d_profile_of([list(s) for s in sequences])
+    eps = tuple(min(1.0, nk ** (-1.0 / (2 * dp.d + 1))) for nk in dp.n)
+    grids = build_d_grids(dp.n, eps, eps)
+    counts, _ = discretize_d_profile(dp, grids)
+    observed = counts > 0
+    return AssignmentSpec(
+        levels=grids.level_values,
+        freqs=np.vstack([np.zeros((1, dp.d)), grids.freq_values[observed]]),
+        col_counts=counts[observed],
+    )
+
+
+@pytest.mark.parametrize("sequences", [["ab"], ["aab"], ["aa", "a"], ["ab", "a"]])
+def test_count_without_enumeration_on_default_grids(sequences):
+    # Default-grid levels are not commensurable, so count_feasible counts the
+    # unseen fills without building them; it must agree with iter_feasible
+    # and be refused exactly when the count passes the cap.
+    spec = default_grid_spec(sequences)
+    assert not has_commensurable_levels(spec)
+    count = count_feasible(spec)
+    assert count == sum(1 for _ in iter_feasible(spec, cap=1_000_000))
+    assert count_feasible(spec, cap=count) == count
+    with pytest.raises(EnumerationCapError):
+        count_feasible(spec, cap=count - 1)

@@ -1,0 +1,88 @@
+"""The numpy replacements for scipy routines, checked against scipy itself."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.optimize import nnls as scipy_nnls
+from scipy.special import gammaln
+from scipy.special import logsumexp as scipy_logsumexp
+
+import pml
+from pml._special import log_factorial, logsumexp
+from pml.solver import _nnls
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, pml.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(pml.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_logsumexp_matches_scipy(rng):
+    a = 50.0 * rng.standard_normal((40, 7))
+    a[3, 2] = -np.inf
+    for axis in (None, 0, 1):
+        np.testing.assert_allclose(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis),
+                                   rtol=1e-14)
+    assert isinstance(logsumexp(a[0]), float)
+
+
+def test_logsumexp_of_nothing_is_minus_inf():
+    # The suite runs with RuntimeWarning as an error, so these also check
+    # that no divide-by-zero warning escapes.
+    rows = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+    assert logsumexp(rows, axis=1).tolist() == [-np.inf, 0.0]
+    assert logsumexp([]) == -np.inf
+    assert logsumexp(np.full(3, -np.inf)) == -np.inf
+    assert logsumexp(np.zeros((0, 4)), axis=0).tolist() == [-np.inf] * 4
+    assert logsumexp(np.zeros((4, 0)), axis=1).tolist() == [-np.inf] * 4
+
+
+@pytest.mark.parametrize("k", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 10**11])
+def test_log_factorial_edges_within_one_ulp(k):
+    ref = float(gammaln(k + 1.0))
+    ulp = np.spacing(max(ref, np.finfo(float).tiny))
+    assert abs(log_factorial(k) - ref) <= ulp
+    assert abs(log_factorial(np.array([k]))[0] - ref) <= ulp
+    assert abs(log_factorial(np.array([float(k)]))[0] - ref) <= ulp
+
+
+def test_log_factorial_arrays_match_scipy():
+    # Across the lookup table and past it, in one array; math.lgamma and
+    # scipy's gammaln differ by a few ulp at most.
+    k = np.concatenate([np.arange(0, 2**16 + 50), [1e6, 3e7, 1e9, 1e11]])
+    out = log_factorial(k)
+    assert out.shape == k.shape
+    np.testing.assert_allclose(out, gammaln(k + 1.0), rtol=8 * np.finfo(float).eps, atol=0)
+    stacked = k[:24].reshape(2, 3, 4)
+    assert np.array_equal(log_factorial(stacked), out[:24].reshape(2, 3, 4))
+    with pytest.raises(ValueError):
+        log_factorial(np.array([3, -1]))
+
+
+def test_nnls_matches_scipy_residual(rng):
+    for trial in range(300):
+        m, n = rng.integers(1, 25, size=2)
+        A = rng.standard_normal((m, n))
+        if trial % 3 == 0:
+            A = np.abs(A)
+        if trial % 5 == 0 and n > 2:
+            A[:, 1] = A[:, 0]  # rank-deficient, like the row-mass systems
+        b = rng.standard_normal(m)
+        x = _nnls(A, b)
+        ref, ref_norm = scipy_nnls(A, b)
+        assert x.shape == (n,) and np.all(x >= 0)
+        assert abs(np.linalg.norm(A @ x - b) - ref_norm) <= 1e-10 * max(1.0, ref_norm)
+
+
+def test_nnls_raises_at_the_iteration_cap():
+    A, b = np.eye(3), np.ones(3)
+    assert np.allclose(_nnls(A, b), 1.0)  # three passive-set solves
+    with pytest.raises(RuntimeError):
+        _nnls(A, b, maxiter=2)
