@@ -306,13 +306,52 @@ def has_commensurable_levels(spec: AssignmentSpec) -> bool:
     return _commensurable_units(spec) is not None
 
 
+def _fill_count_lower_bound(spec: AssignmentSpec, cap: int) -> int:
+    """A subset count of :func:`iter_feasible`'s matrices, stopped once it passes `cap`.
+
+    Puts every observed column on the cheapest level and counts the unseen
+    fills that use only the three cheapest levels and leave every
+    coordinate's remaining budget nonnegative. Those rows are walked in row
+    order with the same float arithmetic as :func:`_count_unseen_fills`, and
+    a zero fill leaves the remaining budget unchanged, so each fill counted
+    here is one that the full walk counts too.
+    """
+    order = np.argsort(spec.levels.sum(axis=1), kind="stable")
+    obs = np.zeros((spec.num_levels, spec.num_cols - 1))
+    obs[order[0]] = spec.col_counts
+    remaining = 1.0 - spec.levels.T @ obs.sum(axis=1)
+    if np.any(remaining < 0):
+        return 0
+    levels = [spec.levels[i].tolist() for i in sorted(order[:3])]
+    total = 0
+
+    def fill(k, rem):
+        nonlocal total
+        max_units = math.floor(min(r / lv + 1e-12 for r, lv in zip(rem, levels[k])))
+        if k == len(levels) - 1:
+            # Only the largest fill can overdraw the budget (by the 1e-12 slack).
+            over = max_units >= 0 and any(r - max_units * lv < 0 for r, lv in zip(rem, levels[k]))
+            total += max(max_units + 1, 0) - over
+            return
+        for u in range(max_units + 1):
+            fill(k + 1, tuple(r - u * lv for r, lv in zip(rem, levels[k])))
+            if total > cap:
+                return
+
+    fill(0, tuple(map(float, remaining)))
+    return total
+
+
 def _count_unseen_fills(spec: AssignmentSpec, cap: int) -> int:
     """Number of matrices :func:`iter_feasible` yields, without building them.
 
     Runs the same recursion over the unseen column with the same float
     arithmetic (on Python floats), counts the last row's fills in closed
-    form, and raises :class:`EnumerationCapError` once the total passes `cap`.
+    form, and raises :class:`EnumerationCapError` once the total passes `cap`,
+    straight away when :func:`_fill_count_lower_bound` already does.
     """
+    if _fill_count_lower_bound(spec, cap) > cap:
+        raise EnumerationCapError(f"feasible set exceeds cap {cap}")
     levels = spec.levels.tolist()
     last = len(levels) - 1
     total = 0

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import estimators, exact, pipeline
 from .assignment import EnumerationCapError
+from .grids import GridSizeError
 from .multi import DProfile, d_profile_of
 from .profiles import Profile, profile_of_sequence
 
@@ -164,8 +165,16 @@ def cmd_profile(samples, output):
     _emit(data, output, "json")
 
 
+def _approximate(run, *args, **kwargs):
+    """``run``, a pipeline entry point; a probability grid too large to build exits 1."""
+    try:
+        return run(*args, **kwargs)
+    except GridSizeError as err:
+        raise click.ClickException(str(err)) from None
+
+
 def _run_one(profile: Profile, eps1, eps2, delta, props):
-    dist, diag = pipeline.approximate_pml(profile, eps1=eps1, eps2=eps2, delta=delta)
+    dist, diag = _approximate(pipeline.approximate_pml, profile, eps1=eps1, eps2=eps2, delta=delta)
     result = dist.to_dict()
     result["diagnostics"] = diag.to_dict()
     result["certified"] = diag.certified
@@ -213,7 +222,7 @@ def cmd_estimate_d(dprofile, dim, eps1, eps2, delta, properties, output, fmt):
         raise click.ClickException(f"profile has dimension {dp.d}, not {dim}")
     eps1_t = None if eps1 is None else (eps1,) * dp.d
     eps2_t = None if eps2 is None else (eps2,) * dp.d
-    dist, diag = pipeline.approximate_pml_d(dp, eps1=eps1_t, eps2=eps2_t, delta=delta)
+    dist, diag = _approximate(pipeline.approximate_pml_d, dp, eps1=eps1_t, eps2=eps2_t, delta=delta)
     result = dist.to_dict()
     result["diagnostics"] = diag.to_dict()
     result["certified"] = diag.certified

@@ -19,6 +19,8 @@ import numpy as np
 from .profiles import Profile
 
 __all__ = [
+    "MAX_LEVELS",
+    "GridSizeError",
     "ProbabilityGrid",
     "FrequencyGrid",
     "DiscretePseudoDistribution",
@@ -32,6 +34,24 @@ __all__ = [
 # Relative slack when snapping floats onto grid boundaries; keeps values that
 # are grid members up to roundoff classified as exactly on the grid.
 _BOUNDARY_SNAP = 1e-12
+
+# Refusal limit on a probability grid's level count, per coordinate and for
+# the product grid of a joint profile: 64 times the largest grid in use
+# (15 625 levels, d = 3 at n = 100). Each level is a row of the assignment
+# problem, so a grid this size is already far past what the solve can take.
+MAX_LEVELS = 1_000_000
+
+
+class GridSizeError(ValueError):
+    """The requested probability grid has more levels than :data:`MAX_LEVELS`."""
+
+
+def check_level_count(count: int) -> None:
+    """Raise :class:`GridSizeError` when ``count`` levels exceed :data:`MAX_LEVELS`."""
+    if count > MAX_LEVELS:
+        raise GridSizeError(
+            f"the probability grid would have {count:.3g} levels, more than the limit "
+            f"of {MAX_LEVELS}; use a larger eps1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +131,20 @@ class FrequencyGrid:
 
 
 def build_probability_grid(n: int, eps: float) -> ProbabilityGrid:
-    """Smallest ladder whose bottom value is at most 1/(2 n^2)."""
+    """Smallest ladder whose bottom value is at most 1/(2 n^2).
+
+    Raises :class:`GridSizeError`, before allocating anything, when that
+    ladder would be longer than :data:`MAX_LEVELS`.
+    """
     if n < 2:
         raise ValueError("probability grid needs n >= 2")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     floor_target = 1.0 / (2 * n * n)
-    k = max(1, math.ceil(math.log(2 * n * n) / math.log1p(eps)))
+    steps = math.log(2 * n * n) / math.log1p(eps)
+    # Checked first: the guards below never end once 1 + eps rounds to 1.
+    check_level_count(steps + 1)
+    k = max(1, math.ceil(steps))
     # Guard against float error around the boundary: k must be minimal with
     # (1+eps)^(-k) <= floor_target.
     while (1.0 + eps) ** (-k) > floor_target:

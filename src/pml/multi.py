@@ -11,6 +11,7 @@ extended with 0; the all-zero tuple is the unseen column.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
@@ -21,8 +22,14 @@ from . import assignment
 from ._special import log_factorial, logsumexp
 from .estimators import merge_levels
 from .exact import OracleSizeError
-from .grids import FrequencyGrid, ProbabilityGrid, build_frequency_grid, build_probability_grid
-from .profiles import Profile
+from .grids import (
+    FrequencyGrid,
+    ProbabilityGrid,
+    build_frequency_grid,
+    build_probability_grid,
+    check_level_count,
+)
+from .profiles import Profile, is_whole
 
 __all__ = [
     "DProfile",
@@ -56,10 +63,11 @@ class DProfile:
         if not 1 <= d <= MAX_DIM:
             raise ValueError(f"dimension must be between 1 and {MAX_DIM}")
         for freqs, count in self.entries:
-            freqs = tuple(int(f) for f in freqs)
-            if len(freqs) != d or any(f < 0 for f in freqs) or not any(freqs):
+            freqs = tuple(freqs)
+            if len(freqs) != d or not all(is_whole(f) and f >= 0 for f in freqs) or not any(freqs):
                 raise ValueError(f"bad frequency tuple {freqs!r}")
-            if count != int(count) or count < 1:
+            freqs = tuple(int(f) for f in freqs)
+            if not is_whole(count) or count < 1:
                 raise ValueError("counts must be positive integers")
             merged[freqs] += int(count)
         if not merged:
@@ -107,14 +115,19 @@ class DProfile:
     @classmethod
     def from_dict(cls, data) -> "DProfile":
         try:
-            d = int(data["d"])
-            entries = tuple(
-                (tuple(int(v) for v in f), int(c)) for f, c in data["entries"]
-            )
+            d = data["d"]
+            entries = tuple((tuple(f), c) for f, c in data["entries"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed d-profile data: {exc}") from exc
+        if not is_whole(d):
+            raise ValueError(f"d must be an integer, got {d!r}")
+        for f, c in entries:
+            if len(f) != d or not all(map(is_whole, f)):
+                raise ValueError(f"bad frequency tuple {f!r}")
+            if not is_whole(c):
+                raise ValueError(f"counts must be positive integers, got {c!r}")
         lengths = tuple(
-            int(sum(f[k] * c for f, c in entries)) for k in range(d)
+            int(sum(f[k] * c for f, c in entries)) for k in range(int(d))
         )
         return cls(entries, lengths)
 
@@ -177,6 +190,7 @@ def build_d_grids(n: tuple[int, ...], eps: tuple[float, ...], gamma: tuple[float
     if not len(n) == len(eps) == len(gamma):
         raise ValueError("n, eps, gamma must have one entry per coordinate")
     prob = tuple(build_probability_grid(max(nk, 2), ek) for nk, ek in zip(n, eps))
+    check_level_count(math.prod(len(g) for g in prob))
     freq = tuple(build_frequency_grid(nk, gk) for nk, gk in zip(n, gamma))
     return DGrids(prob, freq)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
@@ -27,6 +28,15 @@ __all__ = [
     "log_profile_coefficient",
     "profile_coefficient_exact",
 ]
+
+
+def is_whole(value) -> bool:
+    """True for an integer or an integral float; False for bools, strings and the rest."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, (float, np.floating)) and float(value).is_integer()
 
 
 @dataclass(frozen=True)
@@ -63,9 +73,9 @@ class Profile:
     def __post_init__(self):
         merged: Counter = Counter()
         for freq, count in self.pairs:
-            if freq != int(freq) or freq < 1:
+            if not is_whole(freq) or freq < 1:
                 raise ValueError(f"frequencies must be positive integers, got {freq!r}")
-            if count != int(count) or count < 1:
+            if not is_whole(count) or count < 1:
                 raise ValueError(f"counts must be positive integers, got {count!r}")
             merged[int(freq)] += int(count)
         if not merged:
@@ -101,7 +111,7 @@ class Profile:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Profile":
         try:
-            pairs = [(int(f), int(c)) for f, c in data["pairs"]]
+            pairs = [(f, c) for f, c in data["pairs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed profile data: {exc}") from exc
         return cls(tuple(pairs))

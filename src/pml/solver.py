@@ -13,6 +13,12 @@ eliminated by its own convex solve of at most three variables (in closed form
 for one budget); mu takes Levenberg-Marquardt-damped Newton steps on the
 reduced function, and t falls tenfold per stage from 0.1 n'.
 
+Both Newton solves are value first: a trial point gets only its value, and
+the gradient and Hessian are built from the state of a point once it is
+accepted (most trials are rejected). The mu Hessian drops rows with
+``a_i <= 1e-150`` and entries of ``P`` below 1e-150, which keeps its matrix
+product off subnormal numbers; see :class:`_ReducedDual`.
+
 Each stage proposes the smoothed primal ``X_ij = a_i softmax_j(C_ij - mu_j)``
 and the KKT rebuild from its multipliers; the boundary start
 :func:`initial_point` is a candidate too, for feasible sets with no interior.
@@ -178,21 +184,24 @@ def _repaired_dual_value(
     return float(counts @ np.where(finite, mu, 0.0) + lam.sum()), lam
 
 
-def _descend(evaluate, x: np.ndarray, max_steps: int, lower: float | None = None,
-             rtol: float = 1e-13):
+def _descend(value, derivatives, x: np.ndarray, max_steps: int,
+             lower: float | None = None, rtol: float = 1e-13):
     """Minimize a smooth convex function by Levenberg-Marquardt-damped Newton steps.
 
-    ``evaluate(x)`` returns ``(value, grad, hessian, info)``. With a ``lower``
-    bound, steps are projected onto it and bound coordinates whose gradient
-    points outward are decoupled from the rest. Stops when the predicted
-    decrease over the free coordinates falls to ``rtol`` times the value, when
-    no damping gives sufficient decrease, or after ``max_steps``; returns the
-    point, its evaluation and the steps taken.
+    Value first: ``value(x)`` returns ``(f(x), state)`` and is all a trial
+    point gets; ``derivatives(x, state)`` returns ``(grad, hessian, state)``
+    and runs only at the start and at each accepted point, so a descent that
+    takes k steps builds k + 1 Hessians however many trials it rejects. With
+    a ``lower`` bound, steps are projected onto it and bound coordinates whose
+    gradient points outward are decoupled from the rest. Stops when the
+    predicted decrease over the free coordinates falls to ``rtol`` times the
+    value, when no damping gives sufficient decrease, or after ``max_steps``;
+    returns the point, the state its derivatives returned, and the steps taken.
     """
-    current = evaluate(x)
+    f, state = value(x)
+    grad, H, state = derivatives(x, state)
     tau, steps, eye = 0.0, 0, np.eye(x.size)
     while steps < max_steps:
-        value, grad, H, _ = current
         free = np.full(x.size, True) if lower is None else (x > lower) | (grad < 0)
         H = np.where(np.outer(free, free) | (eye > 0), H, 0.0)
         scale = float(np.abs(np.diag(H)).max(initial=0.0)) + 1e-300
@@ -203,21 +212,22 @@ def _descend(evaluate, x: np.ndarray, max_steps: int, lower: float | None = None
             except np.linalg.LinAlgError:
                 tau = max(10.0 * tau, 1e-12)
                 continue
-            if not -float(grad[free] @ step[free]) > rtol * max(1.0, abs(value)):
+            if not -float(grad[free] @ step[free]) > rtol * max(1.0, abs(f)):
                 break
             new_x = x + step if lower is None else np.maximum(x + step, lower)
             decrease = -float(grad @ (new_x - x))
-            trial = evaluate(new_x) if decrease > 0 else None
-            if trial is not None and trial[0] <= value - 1e-4 * decrease:
+            trial = value(new_x) if decrease > 0 else None
+            if trial is not None and trial[0] <= f - 1e-4 * decrease:
                 break
             trial = None
             tau = max(10.0 * tau, 1e-12)
         if trial is None:
             break
-        x, current = new_x, trial
+        x, (f, state) = new_x, trial
+        grad, H, state = derivatives(x, state)
         steps += 1
         tau = tau / 100.0 if tau > 1e-10 else 0.0
-    return x, current, steps
+    return x, state, steps
 
 
 def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, t: float,
@@ -234,16 +244,82 @@ def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, t:
         return np.array([t * lse]), x - lse
     share = levels / kappa[:, None]
 
-    def evaluate(lam):
+    def value(lam):
         s = (W - levels @ lam) / (kappa * t)
+        return lam.sum() + t * np.exp(s).sum(), s
+
+    def derivatives(lam, s):
         e = np.exp(s)
-        H = (share.T * (e / t)) @ share
-        return lam.sum() + t * e.sum(), 1.0 - share.T @ e, H, s
+        return 1.0 - share.T @ e, (share.T * (e / t)) @ share, s
 
     lam = lam * np.max(W / (levels @ lam))
     # The mu gradient reads the budget residuals, so lam is solved to roundoff.
-    lam, (*_, s), _ = _descend(evaluate, lam, 100, lower=0.0, rtol=1e-20)
+    lam, s, _ = _descend(value, derivatives, lam, 100, lower=0.0, rtol=1e-20)
     return lam, s
+
+
+class _ReducedDual:
+    """F_t with lam eliminated, over the observed columns, split value first.
+
+    :meth:`value` is what a Newton trial needs: ``Z = C - mu``, the row terms
+    ``W``, the budget multipliers ``lam`` and the exponents ``s``, and ``F_t``.
+    :meth:`derivatives` turns an accepted point's state into the gradient
+    ``c - P^T a`` and the Schur-complement Hessian
+    ``diag(P^T a) + P^T diag(q - a) P - K (L^T diag(q) L)^+ K^T``, with
+    ``P = exp(Z - W)``, ``a = exp(s) / kappa``, ``q = a / (kappa t)``,
+    ``K = P^T diag(q) L`` and ``L`` the levels of the budgets with lam > 0.
+
+    The derivatives drop rows with ``a_i <= FLOOR`` and zero the entries of
+    ``P`` below it (``FLOOR`` = 1e-150). A dropped term is FLOOR times at
+    most ``max(1, a_i / (kappa_i t))``, and ``a_i / (kappa_i t)`` is below
+    2e12 n^2 (a row holds at most n' elements, the smallest level is about
+    1 / (2 n^2), t is at least 1e-12 n'). Up to n = 1e9 that is below
+    1e-120, more than 100 orders of magnitude under the roundoff of the
+    entries of order ``c_j >= 1`` it is added to. The floor squared is still
+    a normal double, which keeps the Hessian's matrix product off subnormal
+    operands: nearly empty rows (``a_i`` down to 1e-308) and ``exp(Z - W)``
+    down to e^-21444 made that product ten times slower. The Hessian only
+    steers the steps; the certificate reads the exact row terms in
+    :func:`_repaired_dual_value` and the primal's :func:`log_weight_relaxed`.
+    """
+
+    FLOOR = 1e-150
+
+    def __init__(self, spec: AssignmentSpec, t: float):
+        active = spec.col_counts > 0
+        self.c = spec.col_counts[active].astype(float)
+        self.C = spec.lin_coeff[:, 1:][:, active]
+        self.levels = spec.levels
+        self.kappa = self.levels.max(axis=1)
+        self.t = t
+        self.lam = np.ones(spec.dim)  # warm start of the next lam solve
+
+    def value(self, mu: np.ndarray):
+        """``F_t(mu)`` and the state ``(Z, W, lam, s)`` it computed."""
+        Z = self.C - mu
+        W = np.logaddexp(0.0, logsumexp(Z, axis=1))
+        self.lam, s = _budget_multipliers(W, self.levels, self.kappa, self.t, self.lam)
+        value = float(self.c @ mu + self.lam.sum() + self.t * np.exp(s).sum())
+        return value, (Z, W, self.lam, s)
+
+    def derivatives(self, mu: np.ndarray, state):
+        """Gradient and Hessian at ``mu`` from its value state, and the state
+        ``(lam, a, W, rows, P)`` of the smoothed primal ``X = a_i P_ij`` (zero
+        off ``rows``)."""
+        Z, W, lam, s = state
+        a = np.exp(s) / self.kappa
+        rows = a > self.FLOOR
+        P = np.exp(Z[rows] - W[rows, None])
+        P[P < self.FLOOR] = 0.0
+        kappa, used = self.kappa[rows], a[rows]
+        q = used / (kappa * self.t)
+        mass = P.T @ used
+        H = (P.T * (q - used)) @ P
+        H[np.diag_indices_from(H)] += mass
+        L = self.levels[rows][:, lam > 0]
+        K = (P.T * q) @ L
+        H -= K @ np.linalg.pinv((L.T * q) @ L) @ K.T
+        return self.c - mass, H, (lam, a, W, rows, P)
 
 
 def _nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> np.ndarray:
@@ -342,49 +418,30 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
     best = initial_point(spec)
     best_value = log_weight_relaxed(best, spec)
     active = spec.col_counts > 0
-    c = spec.col_counts[active].astype(float)
-    C = spec.lin_coeff[:, 1:][:, active]
-    levels = spec.levels
-    kappa = levels.max(axis=1)
-    lam = np.ones(spec.dim)
-
-    def evaluate(mu):
-        nonlocal lam
-        Z = C - mu
-        W = np.logaddexp(0.0, logsumexp(Z, axis=1))
-        P = np.exp(Z - W[:, None])
-        lam, s = _budget_multipliers(W, levels, kappa, t, lam)
-        a = np.exp(s) / kappa
-        q = a / (kappa * t)
-        # Hessian in mu: the Schur complement of F_t's Hessian over the free lam.
-        H = np.diag(P.T @ a) - (P.T * a) @ P + (P.T * q) @ P
-        K = (P.T * q) @ levels[:, lam > 0]
-        H -= K @ np.linalg.pinv((levels[:, lam > 0].T * q) @ levels[:, lam > 0]) @ K.T
-        value = float(c @ mu + lam.sum() + t * np.exp(s).sum())
-        return value, c - P.T @ a, H, (lam, a, W, P)
+    dual = _ReducedDual(spec, 0.1 * max(float(spec.disc_lengths.max()), 1.0))
 
     # Start each column on the row the boundary start placed most of it in.
-    mu = C[np.argmax(best[:, 1:][:, active], axis=0), np.arange(c.size)] - np.log(c)
+    mu = dual.C[np.argmax(best[:, 1:][:, active], axis=0), np.arange(dual.c.size)] - np.log(dual.c)
     mu_full = np.full(spec.num_cols - 1, np.inf)
     bound, steps = np.inf, 0
-    t = 0.1 * max(float(spec.disc_lengths.max()), 1.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_STAGES):
-            mu, (*_, (lam_t, a, W, P)), taken = _descend(evaluate, mu, config.max_iters - steps)
+            mu, (lam_t, a, W, rows, P), taken = _descend(
+                dual.value, dual.derivatives, mu, config.max_iters - steps)
             steps += taken
             mu_full[active] = mu
             stage_bound, lam_tight = _repaired_dual_value(spec, mu_full, lam_t)
             bound = min(bound, stage_bound)
             smoothed = np.zeros(spec.shape)
             smoothed[:, 0] = a * np.exp(-W)
-            smoothed[:, 1:][:, active] = a[:, None] * P
+            smoothed[np.ix_(rows, 1 + np.flatnonzero(active))] = a[rows, None] * P
             for X in (_feasible(smoothed, spec), *_reconstruct_primal(spec, mu_full, lam_tight)):
                 value = -np.inf if X is None else log_weight_relaxed(X, spec)
                 if value > best_value:
                     best, best_value = X, value
             if bound - best_value <= config.delta or steps >= config.max_iters:
                 break
-            t *= 0.1
+            dual.t *= 0.1
     gap = max(bound - best_value, 0.0)
     return SolveResult(
         X=best,

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pml import AssignmentSpec, Profile, profile_of_sequence
+from pml import (
+    AssignmentSpec,
+    Profile,
+    build_d_grids,
+    d_profile_of,
+    discretize_d_profile,
+    profile_of_sequence,
+)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -101,3 +108,17 @@ def tiny_solver_specs() -> list[AssignmentSpec]:
 @pytest.fixture
 def rng():
     return make_rng(20240817)
+
+
+def default_grid_spec(sequences):
+    """The pipeline's assignment problem for these samples at the default grids."""
+    dp = d_profile_of([list(s) for s in sequences])
+    eps = tuple(min(1.0, nk ** (-1.0 / (2 * dp.d + 1))) for nk in dp.n)
+    grids = build_d_grids(dp.n, eps, eps)
+    counts, _ = discretize_d_profile(dp, grids)
+    observed = counts > 0
+    return AssignmentSpec(
+        levels=grids.level_values,
+        freqs=np.vstack([np.zeros((1, dp.d)), grids.freq_values[observed]]),
+        col_counts=counts[observed],
+    )

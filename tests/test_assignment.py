@@ -7,10 +7,7 @@ from pml import (
     AssignmentSpec,
     EnumerationCapError,
     Profile,
-    build_d_grids,
     count_feasible,
-    d_profile_of,
-    discretize_d_profile,
     grad_log_weight_relaxed,
     is_feasible,
     iter_feasible,
@@ -21,8 +18,10 @@ from pml import (
     log_weight_sum,
     profile_logprob,
 )
-from pml.assignment import has_commensurable_levels
-from conftest import random_fractional_point, tiny_solver_specs
+from pml import assignment
+from pml.assignment import _fill_count_lower_bound, has_commensurable_levels
+from pml.pipeline import _log_num_assignments
+from conftest import default_grid_spec, random_fractional_point, tiny_solver_specs
 
 
 def single_level_spec(level=0.5, freq=1, count=2):
@@ -218,20 +217,6 @@ def test_midpoint_concavity(rng):
             assert mid >= 0.5 * (log_weight_relaxed(X, spec) + log_weight_relaxed(Y, spec)) - 1e-9
 
 
-def default_grid_spec(sequences):
-    """The pipeline's assignment problem for these samples at the default grids."""
-    dp = d_profile_of([list(s) for s in sequences])
-    eps = tuple(min(1.0, nk ** (-1.0 / (2 * dp.d + 1))) for nk in dp.n)
-    grids = build_d_grids(dp.n, eps, eps)
-    counts, _ = discretize_d_profile(dp, grids)
-    observed = counts > 0
-    return AssignmentSpec(
-        levels=grids.level_values,
-        freqs=np.vstack([np.zeros((1, dp.d)), grids.freq_values[observed]]),
-        col_counts=counts[observed],
-    )
-
-
 @pytest.mark.parametrize("sequences", [["ab"], ["aab"], ["aa", "a"], ["ab", "a"]])
 def test_count_without_enumeration_on_default_grids(sequences):
     # Default-grid levels are not commensurable, so count_feasible counts the
@@ -244,3 +229,31 @@ def test_count_without_enumeration_on_default_grids(sequences):
     assert count_feasible(spec, cap=count) == count
     with pytest.raises(EnumerationCapError):
         count_feasible(spec, cap=count - 1)
+
+
+@pytest.mark.parametrize("sequences", [["ab"], ["aab"], ["aa", "a"], ["ab", "a"]])
+def test_fill_count_lower_bound_keeps_the_count(sequences):
+    # The subset count only skips walks that would pass the cap anyway: it
+    # never exceeds the true count, and the pipeline's count (4000 cap on
+    # these grids) is bit for bit what a full enumeration gives.
+    spec = default_grid_spec(sequences)
+    count = sum(1 for _ in iter_feasible(spec, cap=1_000_000))
+    assert 0 < _fill_count_lower_bound(spec, cap=10**9) <= count
+    expected = (math.log(count), "counted") if count <= 4000 else (log_count_bound(spec), "bound")
+    assert _log_num_assignments(spec) == expected
+
+
+def test_fill_count_lower_bound_skips_the_doomed_walk(monkeypatch):
+    # n = 5 on the default grid: more than 3e5 fills, and 10 772 of them on
+    # the three cheapest levels alone, so a 4000 cap is refused without
+    # placing a single observed column.
+    spec = default_grid_spec(["aabbb"])
+    assert _fill_count_lower_bound(spec, cap=10**9) == 10_772
+
+    def walked(*_):
+        raise AssertionError("the unseen fills were walked")
+
+    monkeypatch.setattr(assignment, "_observed_combos", walked)
+    with pytest.raises(EnumerationCapError):
+        count_feasible(spec, cap=4000)
+    assert _log_num_assignments(spec) == (log_count_bound(spec), "bound")

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from pml.cli import main
+from pml.grids import GridSizeError
+from pml.multi import build_d_grids
 
 
 @pytest.fixture
@@ -181,6 +183,16 @@ def test_estimate_multiple_profiles(tmp_path, runner):
         ("exact", '{"pairs": [[1, 2]], "probs": [-0.5, 1.5]}', ["{path}"], 1),
         ("exact", '{"pairs": [[1, 2]], "probs": []}', ["{path}"], 1),
         ("exact", '{"pairs": [[1, 2]], "probs": "abc"}', ["{path}"], 1),
+        # Non-integral numbers, strings and booleans are refused, not truncated.
+        ("estimate", '{"pairs": [[1.5, 2]]}', [], 1),
+        ("estimate", '{"pairs": [[2, 2.5]]}', [], 1),
+        ("estimate", '{"pairs": [["2", 2]]}', [], 1),
+        ("estimate", '{"pairs": [[2, "x"]]}', [], 1),
+        ("estimate", '{"pairs": [[true, 2]]}', [], 1),
+        ("estimate", '{"pairs": [[2, false]]}', [], 1),
+        ("estimate-d", '{"d": 2, "entries": [[[1.5, 1], 1]]}', [], 1),
+        ("estimate-d", '{"d": 2, "entries": [[[1, 1], true]]}', [], 1),
+        ("estimate-d", '{"d": 2, "entries": [[[1], 1]]}', [], 1),
     ],
 )
 def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, args, code):
@@ -193,3 +205,25 @@ def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, ar
         assert len(result.stderr.strip().splitlines()) == 1
     else:
         assert json.loads(result.stdout)["certified"] is True
+
+
+@pytest.mark.parametrize(
+    "command, text, n, eps1",
+    [
+        # About 4e9 levels (29 GiB) on the one coordinate.
+        ("estimate", '{"pairs": [[2, 2], [1, 1]]}', (5,), "1e-9"),
+        # About 2e4 and 3.5e4 levels per coordinate, 7e8 in the product grid.
+        ("estimate-d", '{"d": 2, "entries": [[[1, 2], 2]]}', (2, 4), "1e-4"),
+    ],
+)
+def test_oversized_probability_grid_exits_cleanly(tmp_path, runner, command, text, n, eps1):
+    # The grid build must refuse these before the CLI runs, so that no test
+    # ever allocates them.
+    with pytest.raises(GridSizeError):
+        build_d_grids(n, (float(eps1),) * len(n), (1.0,) * len(n))
+    path = write(tmp_path, "p.json", text)
+    result = runner.invoke(main, [command, path, "--eps1", eps1])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "levels" in result.stderr

@@ -10,6 +10,8 @@ from pml import (
     profile_logprob,
     profile_of_sequence,
 )
+from pml.grids import MAX_LEVELS, GridSizeError
+from pml.multi import build_d_grids
 from conftest import make_rng, random_distribution, random_profile
 
 
@@ -35,6 +37,23 @@ def test_probability_grid_validation():
         build_probability_grid(10, 1.5)
     with pytest.raises(ValueError):
         build_probability_grid(1, 0.5)
+
+
+def test_oversized_probability_grid_is_refused_before_it_is_built():
+    # Each call below would allocate gigabytes (or loop forever once 1 + eps
+    # rounds to 1) if the refusal came after the build.
+    for n, eps in ((5, 1e-9), (5, 1e-300), (5, 5e-324), (10**5, 1e-5)):
+        with pytest.raises(GridSizeError, match="levels"):
+            build_probability_grid(n, eps)
+    assert issubclass(GridSizeError, ValueError)
+    # Per-coordinate grids of 2e4 and 3.5e4 levels, 7e8 in the product.
+    with pytest.raises(GridSizeError):
+        build_d_grids((2, 4), (1e-4, 1e-4), (1.0, 1.0))
+    # The limit sits far above the largest grid in use: d = 3 at n = 100.
+    eps = 100 ** (-1 / 7)
+    assert build_d_grids((100,) * 3, (eps,) * 3, (eps,) * 3).level_values.shape[0] == 15_625
+    assert MAX_LEVELS >= 64 * 15_625
+    assert 300_000 < len(build_probability_grid(5, 1e-5)) <= MAX_LEVELS
 
 
 def test_frequency_grid_examples():

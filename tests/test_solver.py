@@ -17,8 +17,38 @@ from pml import (
     log_weight_relaxed,
     solve,
 )
-from pml.solver import _repaired_dual_value
-from conftest import random_fractional_point, tiny_solver_specs
+from pml import solver as solver_module
+from pml.solver import _ReducedDual, _repaired_dual_value
+from conftest import default_grid_spec, random_fractional_point, tiny_solver_specs
+
+
+def watch_mu_solves(monkeypatch):
+    """Record every mu descent of solve: its end point, and its value and
+    derivative calls. Returns the list the records go to."""
+    records = []
+    descend = solver_module._descend
+
+    def recording(value, derivatives, x, *args, **kwargs):
+        dual = getattr(value, "__self__", None)
+        if not isinstance(dual, _ReducedDual):  # a lam solve
+            return descend(value, derivatives, x, *args, **kwargs)
+        record = {"t": dual.t, "values": 0, "derivatives": 0}
+
+        def counted_value(mu):
+            record["values"] += 1
+            return value(mu)
+
+        def counted_derivatives(mu, state):
+            record["derivatives"] += 1
+            return derivatives(mu, state)
+
+        out = descend(counted_value, counted_derivatives, x, *args, **kwargs)
+        record.update(mu=out[0].copy(), lam=dual.lam.copy(), steps=out[2])
+        records.append(record)
+        return out
+
+    monkeypatch.setattr(solver_module, "_descend", recording)
+    return records
 
 
 def test_initial_point_examples():
@@ -161,3 +191,79 @@ def test_solver_config_validation():
         SolverConfig(delta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(delta=1e-6, max_iters=0)
+
+
+def dense_derivatives(dual, state):
+    """Gradient and Hessian of the reduced smoothed dual from the textbook
+    formula over every row, with nothing dropped or clipped."""
+    Z, W, lam, s = state
+    P = np.exp(Z - W[:, None])
+    a = np.exp(s) / dual.kappa
+    q = a / (dual.kappa * dual.t)
+    H = np.diag(P.T @ a) - (P.T * a) @ P + (P.T * q) @ P
+    L = dual.levels[:, lam > 0]
+    K = (P.T * q) @ L
+    H -= K @ np.linalg.pinv((L.T * q) @ L) @ K.T
+    return dual.c - P.T @ a, H, P, a
+
+
+def central_difference(f, x, h):
+    """Fourth-order central differences of f (scalar or vector) along each coordinate."""
+    return np.array([(-f(x + 2 * h * e) + 8 * f(x + h * e) - 8 * f(x - h * e) + f(x - 2 * h * e))
+                     / (12 * h) for e in np.eye(x.size)])
+
+
+@pytest.mark.parametrize(
+    "sequences",
+    [["a" * 60 + "b" * 20 + "cdde"], ["a" * 30 + "bcd", "a" * 25 + "bbce"]],
+)
+def test_derivatives_match_value_differences_and_dense_formula(monkeypatch, sequences):
+    # The derivative part drops rows with a_i <= 1e-150 and zeroes entries of
+    # P below it. Its gradient must match central differences of the value
+    # part, its Hessian central differences of that gradient, and both the
+    # dense unclipped formula, at the first stage and at the third (t a
+    # hundred times smaller), where the floor drops rows and P entries. At
+    # d = 2 both budgets are active. Second differences of the value itself
+    # cannot resolve 1e-8 there: |F| is 25 to 65 against curvatures up to 1e3.
+    spec = default_grid_spec(sequences)
+    records = watch_mu_solves(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        assert solve(spec).certified
+        for record in records[0:3:2]:
+            dual = _ReducedDual(spec, record["t"])
+            dual.lam = record["lam"]
+            mu = record["mu"]
+            state = dual.value(mu)[1]
+            grad, H, (lam, *_, rows, _) = dual.derivatives(mu, state)
+            assert np.sum(lam > 0) == spec.dim  # every budget is active
+            ref_grad, ref_H, P, a = dense_derivatives(dual, state)
+            if record is records[2]:
+                assert np.any(a <= _ReducedDual.FLOOR)
+                assert np.any(P[rows] < _ReducedDual.FLOOR)
+            scale = float(dual.c.max())
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * scale
+            assert np.abs(H - ref_H).max() <= 1e-12 * np.abs(ref_H).max()
+            # A step of 0.003 max c / max |H| keeps both the fourth-order
+            # truncation and the roundoff near 1e-9.
+            h = 3e-3 * scale / np.abs(H).max()
+            fd_grad = central_difference(lambda x: dual.value(x)[0], mu, h)
+            assert np.abs(fd_grad - grad).max() <= 1e-8 * scale
+            fd_H = central_difference(lambda x: dual.derivatives(x, dual.value(x)[1])[0], mu, h)
+            assert np.abs(fd_H - H).max() <= 1e-8 * np.abs(H).max()
+
+
+def test_hessians_only_at_accepted_points(monkeypatch):
+    # The Zipf(1) n = 1000 baseline profile (k = 500, default_rng(0)). Each
+    # descent builds one Hessian at its start and one per accepted step, and
+    # trial points get their value only. Before the value-first split every
+    # one of the 176 evaluations built a Hessian.
+    p = 1.0 / np.arange(1, 501)
+    sample = np.random.default_rng(0).choice(500, size=1000, p=p / p.sum())
+    spec = default_grid_spec([[str(x) for x in sample]])
+    records = watch_mu_solves(monkeypatch)
+    result = solve(spec)
+    assert result.certified
+    steps = sum(r["steps"] for r in records)
+    assert steps == result.iterations
+    assert sum(r["derivatives"] for r in records) == steps + len(records)
+    assert sum(r["values"] for r in records) <= 176
