@@ -165,21 +165,24 @@ def cmd_profile(samples, output):
     _emit(data, output, "json")
 
 
-def _approximate(run, *args, **kwargs):
-    """``run``, a pipeline entry point; a probability grid too large to build exits 1."""
-    try:
-        return run(*args, **kwargs)
-    except GridSizeError as err:
-        raise click.ClickException(str(err)) from None
-
-
-def _run_one(profile: Profile, eps1, eps2, delta, props):
-    dist, diag = _approximate(pipeline.approximate_pml, profile, eps1=eps1, eps2=eps2, delta=delta)
-    result = dist.to_dict()
-    result["diagnostics"] = diag.to_dict()
-    result["certified"] = diag.certified
-    result["estimates"] = _estimate_properties(dist, props)
-    return result
+def _estimate_and_emit(run, inputs, options: dict, props, output, fmt) -> None:
+    """Run a pipeline entry point on each input and emit the results, one
+    object for one input; exit 2 unless every result is certified. A grid too
+    large to build exits 1."""
+    results = []
+    for data in inputs:
+        try:
+            dist, diag = run(data, **options)
+        except GridSizeError as err:
+            raise click.ClickException(str(err)) from None
+        result = dist.to_dict()
+        result["diagnostics"] = diag.to_dict()
+        result["certified"] = diag.certified
+        result["estimates"] = _estimate_properties(dist, props)
+        results.append(result)
+    _emit(results[0] if len(results) == 1 else results, output, fmt)
+    if not all(r["certified"] for r in results):
+        sys.exit(EXIT_NOT_CERTIFIED)
 
 
 @main.command("estimate")
@@ -198,10 +201,8 @@ def cmd_estimate(profiles, eps1, eps2, delta, properties, output, fmt):
     """Approximate PML for one or more profile JSON files."""
     props = _parse_properties(properties)
     parsed = [_read_profile(path, Profile) for path in profiles]
-    results = [_run_one(p, eps1, eps2, delta, props) for p in parsed]
-    _emit(results[0] if len(results) == 1 else results, output, fmt)
-    if not all(r["certified"] for r in results):
-        sys.exit(EXIT_NOT_CERTIFIED)
+    options = {"eps1": eps1, "eps2": eps2, "delta": delta}
+    _estimate_and_emit(pipeline.approximate_pml, parsed, options, props, output, fmt)
 
 
 @main.command("estimate-d")
@@ -220,16 +221,9 @@ def cmd_estimate_d(dprofile, dim, eps1, eps2, delta, properties, output, fmt):
     dp = _read_profile(dprofile, DProfile)
     if dim is not None and dim != dp.d:
         raise click.ClickException(f"profile has dimension {dp.d}, not {dim}")
-    eps1_t = None if eps1 is None else (eps1,) * dp.d
-    eps2_t = None if eps2 is None else (eps2,) * dp.d
-    dist, diag = _approximate(pipeline.approximate_pml_d, dp, eps1=eps1_t, eps2=eps2_t, delta=delta)
-    result = dist.to_dict()
-    result["diagnostics"] = diag.to_dict()
-    result["certified"] = diag.certified
-    result["estimates"] = _estimate_properties(dist, props)
-    _emit(result, output, fmt)
-    if not diag.certified:
-        sys.exit(EXIT_NOT_CERTIFIED)
+    options = {"eps1": None if eps1 is None else (eps1,) * dp.d,
+               "eps2": None if eps2 is None else (eps2,) * dp.d, "delta": delta}
+    _estimate_and_emit(pipeline.approximate_pml_d, [dp], options, props, output, fmt)
 
 
 @main.command("exact")

@@ -14,22 +14,6 @@ def num_compositions(total: int, parts: int) -> int:
     return comb(total + parts - 1, parts - 1)
 
 
-def iter_compositions(total: int, parts: int):
-    """Yield every tuple of `parts` nonnegative integers summing to `total`.
-
-    Order is lexicographic in the first coordinate, which keeps downstream
-    enumeration deterministic.
-    """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in iter_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=256)
 def composition_array(total: int, parts: int) -> np.ndarray:
     """All compositions of `total` into `parts` nonnegative ints as an (M, parts) array.

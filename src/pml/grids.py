@@ -39,11 +39,12 @@ _BOUNDARY_SNAP = 1e-12
 # the product grid of a joint profile: 64 times the largest grid in use
 # (15 625 levels, d = 3 at n = 100). Each level is a row of the assignment
 # problem, so a grid this size is already far past what the solve can take.
+# Frequency grids and their products are held to the same limit.
 MAX_LEVELS = 1_000_000
 
 
 class GridSizeError(ValueError):
-    """The requested probability grid has more levels than :data:`MAX_LEVELS`."""
+    """The requested probability or frequency grid has more values than :data:`MAX_LEVELS`."""
 
 
 def check_level_count(count: int) -> None:
@@ -52,6 +53,14 @@ def check_level_count(count: int) -> None:
         raise GridSizeError(
             f"the probability grid would have {count:.3g} levels, more than the limit "
             f"of {MAX_LEVELS}; use a larger eps1")
+
+
+def check_frequency_count(count: int) -> None:
+    """Raise :class:`GridSizeError` when ``count`` frequencies exceed :data:`MAX_LEVELS`."""
+    if count > MAX_LEVELS:
+        raise GridSizeError(
+            f"the frequency grid would have {count:.3g} values, more than the limit "
+            f"of {MAX_LEVELS}; use a larger eps2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,20 +164,28 @@ def build_probability_grid(n: int, eps: float) -> ProbabilityGrid:
 
 
 def build_frequency_grid(n: int, eps: float) -> FrequencyGrid:
-    """Integer run up to ceil(1/eps), geometric ceil-ladder after, and n."""
+    """Integer run up to ceil(1/eps), geometric ceil-ladder after, and n.
+
+    Raises :class:`GridSizeError`, before building anything, when the run and
+    the ladder's steps come to more than :data:`MAX_LEVELS` values.
+    """
     if n < 1:
         raise ValueError("frequency grid needs n >= 1")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    values = set(range(1, min(n, math.ceil(1.0 / eps)) + 1))
+    run = n if 1.0 / eps >= n else math.ceil(1.0 / eps)  # 1/eps may overflow
     ratio = 1.0 + eps / 2.0
-    k = 1
-    while True:
-        rung = math.ceil(ratio**k)
-        if rung >= n:
-            break
-        values.add(rung)
-        k += 1
+    # The ladder and n follow the run only when 1/eps < n. Once the check has
+    # held that run to MAX_LEVELS, ratio is far enough from 1 to climb.
+    check_frequency_count(run + (math.log(n / run) / math.log1p(eps / 2) + 1 if run < n else 0))
+    values = set(range(1, run + 1))
+    if run < n:
+        # One power below the first rung above the run: lower rungs are already
+        # in it, and the margin absorbs the roundoff of the logarithms.
+        k = max(1, int(math.log(run) / math.log(ratio)) - 1)
+        while (rung := math.ceil(ratio**k)) < n:
+            values.add(rung)
+            k += 1
     values.add(n)
     return FrequencyGrid(eps=eps, values=np.array(sorted(values), dtype=np.int64))
 

@@ -27,6 +27,7 @@ from .grids import (
     ProbabilityGrid,
     build_frequency_grid,
     build_probability_grid,
+    check_frequency_count,
     check_level_count,
 )
 from .profiles import Profile, is_whole
@@ -189,9 +190,11 @@ def _product_rows(axes: list[np.ndarray]) -> np.ndarray:
 def build_d_grids(n: tuple[int, ...], eps: tuple[float, ...], gamma: tuple[float, ...]) -> DGrids:
     if not len(n) == len(eps) == len(gamma):
         raise ValueError("n, eps, gamma must have one entry per coordinate")
+    # Both products are checked before DGrids builds them.
     prob = tuple(build_probability_grid(max(nk, 2), ek) for nk, ek in zip(n, eps))
     check_level_count(math.prod(len(g) for g in prob))
     freq = tuple(build_frequency_grid(nk, gk) for nk, gk in zip(n, gamma))
+    check_frequency_count(math.prod(len(g) + 1 for g in freq) - 1)
     return DGrids(prob, freq)
 
 

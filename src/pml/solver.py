@@ -19,12 +19,13 @@ accepted (most trials are rejected). The mu Hessian drops rows with
 ``a_i <= 1e-150`` and entries of ``P`` below 1e-150, which keeps its matrix
 product off subnormal numbers; see :class:`_ReducedDual`.
 
-Each stage proposes the smoothed primal ``X_ij = a_i softmax_j(C_ij - mu_j)``
-and the KKT rebuild from its multipliers; the boundary start
-:func:`initial_point` is a candidate too, for feasible sets with no interior.
-The certified gap is the dual value, repaired to exact feasibility against
-the exact, unclipped row term, minus the relaxed score of the best feasible
-candidate; neither bound depends on how the point or multipliers were found.
+Each stage proposes one primal point, its smoothed primal
+``X_ij = a_i softmax_j(C_ij - mu_j)`` (with the unseen column's logit 0) made
+feasible by :func:`_feasible`; the boundary start :func:`initial_point` is
+the first candidate, for feasible sets with no interior. The certified gap
+is the dual value, repaired to exact feasibility against the exact, unclipped
+row term, minus the relaxed score of the best feasible candidate; neither
+bound depends on how the point or multipliers were found.
 """
 
 from __future__ import annotations
@@ -322,93 +323,11 @@ class _ReducedDual:
         return self.c - mass, H, (lam, a, W, rows, P)
 
 
-def _nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None) -> np.ndarray:
-    """Lawson-Hanson active-set solution of ``min ||A x - b||`` over ``x >= 0``.
-
-    Each least-squares solve on the passive set counts as one step; raises
-    RuntimeError after ``maxiter`` of them (default 3n).
-    """
-    m, n = A.shape
-    maxiter = 3 * n if maxiter is None else maxiter
-    tol = 10 * max(m, n) * np.finfo(float).eps * float(
-        np.abs(A).max(initial=0.0) * np.abs(b).max(initial=0.0))
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    steps = 0
-
-    def solve_passive():
-        nonlocal steps
-        steps += 1
-        if steps > maxiter:
-            raise RuntimeError("NNLS iteration limit reached")
-        s = np.zeros(n)
-        s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-        return s
-
-    w = A.T @ b
-    while True:
-        k = int(np.argmax(np.where(passive, -np.inf, w)))
-        if passive[k] or not w[k] > tol:
-            return x
-        passive[k] = True
-        s = solve_passive()
-        if s[k] <= 0:  # column k only looked useful through roundoff
-            passive[k] = False
-            w[k] = -np.inf
-            continue
-        while np.any(s[passive] <= 0):
-            blocked = passive & (s <= 0)
-            ratio = x[blocked] / (x[blocked] - s[blocked])
-            alpha = ratio.min()
-            x += alpha * (s - x)
-            x[np.flatnonzero(blocked)[ratio == alpha]] = 0.0
-            passive &= x > 0
-            s = solve_passive()
-        x = s
-        w = A.T @ (b - A @ x)
-
-
-def _reconstruct_primal(spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray):
-    """Yield primal points rebuilt from repaired multipliers via the KKT structure.
-
-    At an optimum ``X_ij = a_i exp(C_ij - mu_j - lam . level_i)`` on the rows
-    whose dual constraint is tight, and every other row is empty. Only the
-    row masses a_i are unknown. They solve one nonnegative least-squares
-    system: the observed column equations ``sum_i a_i w_ij = count_j`` and the
-    budget equations ``sum_i a_i level_ik = 1`` that lam_k > 0 makes tight,
-    each scaled to a unit right-hand side. Which rows count as tight depends
-    on how accurate the multipliers are, so several dual-slack thresholds are
-    tried; infeasible rebuilds are skipped.
-    """
-    finite = np.isfinite(mu)
-    load = lam @ spec.levels.T
-    # mu, lam are repaired, so every exponent below is at most zero.
-    shifted = spec.lin_coeff[:, 1:][:, finite] - mu[finite] - load[:, None]
-    weights = np.zeros(spec.shape)
-    weights[:, 0] = np.exp(-load)
-    weights[:, 1:][:, finite] = np.exp(shifted)
-    M = np.vstack([(weights[:, 1:][:, finite] / spec.col_counts[finite]).T,
-                   spec.levels[:, lam > 0].T])
-    slack = -np.log(weights.sum(axis=1))  # lam . level_i - W_i
-    for cut in (1e-10, 1e-7, 1e-4, 1e-2):
-        rows = slack <= cut
-        if not np.any(rows):
-            continue
-        a = np.zeros(spec.num_levels)
-        try:
-            a[rows] = _nnls(M[:, rows], np.ones(M.shape[0]))
-        except RuntimeError:  # iteration limit
-            continue
-        X = _feasible(a[:, None] * weights, spec)
-        if X is not None:
-            yield X
-
-
 def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResult:
     """Damped-Newton continuation on the smoothed dual, with a certified gap.
 
     Each stage runs Newton steps in mu until they stop decreasing the smoothed
-    dual, then scores its primal candidates and its repaired dual bound. The
+    dual, then scores its smoothed primal and its repaired dual bound. The
     solve stops once the certified gap drops below ``config.delta``; a gap
     still above it when the stages or the ``config.max_iters`` Newton steps
     run out flags the result non-certified.
@@ -430,15 +349,14 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
                 dual.value, dual.derivatives, mu, config.max_iters - steps)
             steps += taken
             mu_full[active] = mu
-            stage_bound, lam_tight = _repaired_dual_value(spec, mu_full, lam_t)
-            bound = min(bound, stage_bound)
+            bound = min(bound, _repaired_dual_value(spec, mu_full, lam_t)[0])
             smoothed = np.zeros(spec.shape)
             smoothed[:, 0] = a * np.exp(-W)
             smoothed[np.ix_(rows, 1 + np.flatnonzero(active))] = a[rows, None] * P
-            for X in (_feasible(smoothed, spec), *_reconstruct_primal(spec, mu_full, lam_tight)):
-                value = -np.inf if X is None else log_weight_relaxed(X, spec)
-                if value > best_value:
-                    best, best_value = X, value
+            X = _feasible(smoothed, spec)
+            value = -np.inf if X is None else log_weight_relaxed(X, spec)
+            if value > best_value:
+                best, best_value = X, value
             if bound - best_value <= config.delta or steps >= config.max_iters:
                 break
             dual.t *= 0.1

@@ -227,3 +227,20 @@ def test_oversized_probability_grid_exits_cleanly(tmp_path, runner, command, tex
     assert "Traceback" not in result.output
     assert len(result.stderr.strip().splitlines()) == 1
     assert "levels" in result.stderr
+
+
+def test_tiny_eps2_runs_and_an_oversized_frequency_grid_exits_cleanly(tmp_path, runner):
+    # eps2 = 1e-12 leaves the n = 5 frequency grid at 1..5; a ladder climbed
+    # one rung at a time from k = 1 would take days.
+    small = write(tmp_path, "small.json", '{"pairs": [[2, 2], [1, 1]]}')
+    result = runner.invoke(main, ["estimate", small, "--eps2", "1e-12"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["certified"] is True
+    # n = 2e6 at eps2 = 1e-6: an integer run of 1e6 and a ladder of 1.4e6
+    # steps, refused before either is built.
+    big = write(tmp_path, "big.json", '{"pairs": [[2000000, 1]]}')
+    result = runner.invoke(main, ["estimate", big, "--eps2", "1e-6"])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "frequency grid" in result.stderr

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,51 @@ def test_frequency_grid_examples():
     assert build_frequency_grid(10, 1.0).values.tolist() == [1, 2, 3, 4, 6, 8, 10]
     assert build_frequency_grid(3, 1.0).values.tolist() == [1, 2, 3]
     assert build_frequency_grid(1, 0.5).values.tolist() == [1]
+
+
+def ladder_one_rung_at_a_time(n, eps):
+    """The frequency grid as first written: every power of 1 + eps/2 from k = 1."""
+    values = set(range(1, min(n, math.ceil(1.0 / eps)) + 1))
+    ratio = 1.0 + eps / 2.0
+    k = 1
+    while True:
+        rung = math.ceil(ratio**k)
+        if rung >= n:
+            break
+        values.add(rung)
+        k += 1
+    values.add(n)
+    return sorted(values)
+
+
+def test_frequency_grid_matches_the_full_ladder():
+    rng = make_rng(7)
+    sizes = [*range(1, 40), *np.unique(np.geomspace(40, 10**5, 40).astype(int)).tolist()]
+    coarseness = [1.0, 0.75, 0.5, 1 / 3, 0.3, 0.2, 0.1, 0.05, 0.01, 1e-3,
+                  *rng.uniform(1e-3, 1.0, 8).tolist()]
+    for n in sizes:
+        for eps in coarseness:
+            assert build_frequency_grid(n, eps).values.tolist() == \
+                ladder_one_rung_at_a_time(n, eps), (n, eps)
+
+
+def test_tiny_eps_frequency_grid_is_the_integer_run():
+    # A ladder climbed from k = 1 would take days at eps = 1e-12; 1/eps
+    # overflows at 5e-324.
+    for eps in (1e-9, 1e-12, 5e-324):
+        assert build_frequency_grid(5, eps).values.tolist() == [1, 2, 3, 4, 5]
+    assert len(build_frequency_grid(10**5, 1e-5)) == 10**5
+
+
+def test_oversized_frequency_grid_is_refused_before_it_is_built():
+    # An integer run of 1e7, and a ladder of about 1.4e7 steps above a run of 1e6.
+    for n, eps in ((10**7, 1e-7), (10**9, 1e-6)):
+        with pytest.raises(GridSizeError, match="frequency grid"):
+            build_frequency_grid(n, eps)
+    # Two axes of 1 001 values (0 included) are each allowed; their product is not.
+    with pytest.raises(GridSizeError, match="frequency grid"):
+        build_d_grids((1000, 1000), (0.5, 0.5), (1e-3, 1e-3))
+    assert len(build_d_grids((1000,), (0.5,), (1e-3,)).freq_values) == 1000
 
 
 def test_frequency_grid_contains_endpoints():

@@ -7,7 +7,9 @@ from pml import (
     GridSearchConfig,
     Profile,
     approximate_pml,
+    approximate_pml_d,
     brute_force_pml,
+    d_profile_of,
     entropy,
     levelset_profile_logprob,
     profile_of_sequence,
@@ -131,3 +133,29 @@ def test_diagnostics_serialize():
     assert data["assignment_count_method"] in ("counted", "bound")
     assert data["slack_total"] == diag.slack_total
     assert isinstance(data["n"], tuple)
+
+
+def zipf(k: int, shift: int = 0) -> np.ndarray:
+    p = 1.0 / np.arange(1, k + 1)
+    return np.roll(p / p.sum(), shift)
+
+
+def test_zipf_n10000_certifies_at_default_delta():
+    # n = 10 000 draws from Zipf(1) over k = 5 000 symbols: 423 levels and
+    # 56 observed frequencies on the default grids.
+    sample = np.random.default_rng(0).choice(5000, size=10_000, p=zipf(5000))
+    dist, diag = approximate_pml(profile_of_sequence(sample.tolist()))
+    assert diag.certified
+    assert 0 <= diag.solver_gap <= diag.delta
+    assert dist.counts @ dist.values == pytest.approx(1.0)
+
+
+def test_zipf_pair_n100_certifies_at_default_delta():
+    # Two sequences of n = 100 draws over k = 50 symbols, the second from
+    # Zipf(1) rotated by one place: d = 2 on a 961-level product grid.
+    rng = np.random.default_rng(0)
+    sequences = [rng.choice(50, size=100, p=zipf(50, s)).tolist() for s in range(2)]
+    dist, diag = approximate_pml_d(d_profile_of(sequences))
+    assert diag.certified
+    assert 0 <= diag.solver_gap <= diag.delta
+    assert dist.counts @ dist.values == pytest.approx(np.ones(2))

@@ -7,13 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls as scipy_nnls
 from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
 import pml
 from pml._special import log_factorial, logsumexp
-from pml.solver import _nnls
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -64,25 +62,3 @@ def test_log_factorial_arrays_match_scipy():
     assert np.array_equal(log_factorial(stacked), out[:24].reshape(2, 3, 4))
     with pytest.raises(ValueError):
         log_factorial(np.array([3, -1]))
-
-
-def test_nnls_matches_scipy_residual(rng):
-    for trial in range(300):
-        m, n = rng.integers(1, 25, size=2)
-        A = rng.standard_normal((m, n))
-        if trial % 3 == 0:
-            A = np.abs(A)
-        if trial % 5 == 0 and n > 2:
-            A[:, 1] = A[:, 0]  # rank-deficient, like the row-mass systems
-        b = rng.standard_normal(m)
-        x = _nnls(A, b)
-        ref, ref_norm = scipy_nnls(A, b)
-        assert x.shape == (n,) and np.all(x >= 0)
-        assert abs(np.linalg.norm(A @ x - b) - ref_norm) <= 1e-10 * max(1.0, ref_norm)
-
-
-def test_nnls_raises_at_the_iteration_cap():
-    A, b = np.eye(3), np.ones(3)
-    assert np.allclose(_nnls(A, b), 1.0)  # three passive-set solves
-    with pytest.raises(RuntimeError):
-        _nnls(A, b, maxiter=2)
