@@ -139,8 +139,6 @@ def _estimate_properties(dist, props) -> dict:
             elif name == "uniformity":
                 out[f"uniformity:{arg}"] = estimators.distance_to_uniformity(dist, arg)
             elif name == "kl":
-                if not isinstance(dist, estimators.PairedLevelSetDistribution):
-                    raise click.ClickException("kl needs a 2-dimensional estimate")
                 out["kl"] = estimators.kl_plugin(dist)
         except ValueError as exc:
             raise click.ClickException(f"property {name}: {exc}") from None
@@ -212,7 +210,8 @@ def cmd_estimate(profiles, eps1, eps2, delta, properties, output, fmt):
 @click.option("--eps2", type=float, default=None, callback=_validate_eps)
 @click.option("--delta", type=float, default=None, callback=_validate_delta)
 @click.option("--property", "properties", multiple=True,
-              help="entropy | support | coverage:m | uniformity:k | kl (repeatable).")
+              help="support | kl (repeatable); kl needs d = 2, and a d = 1 profile "
+                   "takes the properties of estimate.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "plain"]), default="json")
 def cmd_estimate_d(dprofile, dim, eps1, eps2, delta, properties, output, fmt):
@@ -254,11 +253,10 @@ def cmd_bruteforce(profile_path, support_cap, resolution):
     """Grid-search PML over tiny supports; prints the best grid distribution."""
     profile = _read_profile(profile_path, Profile)
     try:
-        config = exact.GridSearchConfig(
-            support_cap=support_cap or min(2 * profile.n**2, 10),
-            resolution=resolution,
-            n=profile.n,
-        )
+        if support_cap is None:
+            config = exact.GridSearchConfig.default_for(profile, resolution)
+        else:
+            config = exact.GridSearchConfig(support_cap, resolution, profile.n)
         probs, logprob = exact.brute_force_pml(profile, config)
     except exact.OracleSizeError as err:
         click.echo(f"error: {err}", err=True)

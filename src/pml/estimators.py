@@ -2,7 +2,9 @@
 
 A level-set distribution stores (probability value, element count) pairs and
 no labels, which is exactly the information a symmetric property needs. All
-estimators are therefore permutation-invariant by construction.
+estimators are therefore permutation-invariant by construction. Over d
+sequences jointly a value is a d-tuple; support size takes any d, KL
+divergence needs d = 2, and the other estimators need d = 1.
 """
 
 from __future__ import annotations
@@ -49,58 +51,11 @@ def merge_levels(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np
 
 @dataclass(frozen=True, eq=False)
 class LevelSetDistribution:
-    """(value, count) levels with distinct positive values, sorted descending."""
+    """(value, count) levels with distinct values, sorted descending.
 
-    values: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        counts = np.asarray(self.counts, dtype=float).ravel()
-        if values.shape != counts.shape:
-            raise ValueError("values and counts must align")
-        if np.any(values <= 0) or np.any(values > 1 + 1e-12):
-            raise ValueError("level values must lie in (0, 1]")
-        if np.any(counts <= 0):
-            raise ValueError("level counts must be positive")
-        values, counts = merge_levels(values[:, None], counts)
-        object.__setattr__(self, "values", values[:, 0])
-        object.__setattr__(self, "counts", counts)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.values @ self.counts)
-
-    def is_normalized(self, tol: float = _MASS_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
-
-    def to_dense(self) -> np.ndarray:
-        """One probability per element, descending (requires integral counts)."""
-        reps = np.rint(self.counts).astype(np.int64)
-        if np.any(np.abs(reps - self.counts) > 1e-9):
-            raise ValueError("dense expansion needs integral counts")
-        return np.repeat(self.values, reps)
-
-    def as_pairs(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(v), float(c)) for v, c in zip(self.values, self.counts))
-
-    def to_dict(self) -> dict:
-        return {"levels": [[float(v), float(c)] for v, c in self.as_pairs()],
-                "mass": self.total_mass}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-@dataclass(frozen=True, eq=False)
-class PairedLevelSetDistribution:
-    """Level sets of several coordinates jointly: values has shape (L, d).
-
-    Individual coordinates of a level may be zero (an element can be unseen in
-    one sample sequence), but no level is zero everywhere.
+    ``values`` is (L,) for one sequence and (L, d) for d sequences jointly.
+    A joint level may be zero in some coordinates (an element can be unseen
+    in one sample sequence), but no level is zero everywhere.
     """
 
     values: np.ndarray
@@ -109,16 +64,20 @@ class PairedLevelSetDistribution:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         counts = np.asarray(self.counts, dtype=float).ravel()
-        if values.ndim != 2 or values.shape[0] != counts.size:
-            raise ValueError("values must be (L, d) with one count per level")
-        if np.any(values < 0) or np.any(values > 1 + 1e-12):
+        if values.ndim > 2:
+            raise ValueError("values must be (L,) or (L, d)")
+        if values.ndim < 2:
+            values = values.reshape(-1, 1)
+        if values.shape[0] != counts.size:
+            raise ValueError("values and counts must align")
+        if not np.all((values >= 0) & (values <= 1 + 1e-12)):
             raise ValueError("level values must lie in [0, 1]")
         if np.any(values.max(axis=1) <= 0):
             raise ValueError("each level must be nonzero in some coordinate")
-        if np.any(counts <= 0):
+        if not np.all(counts > 0):
             raise ValueError("level counts must be positive")
         values, counts = merge_levels(values, counts)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", values[:, 0] if values.shape[1] == 1 else values)
         object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
@@ -126,64 +85,73 @@ class PairedLevelSetDistribution:
 
     @property
     def dim(self) -> int:
-        return int(self.values.shape[1])
+        return 1 if self.values.ndim == 1 else int(self.values.shape[1])
 
     @property
-    def total_mass(self) -> np.ndarray:
-        """Per-coordinate mass."""
-        return self.values.T @ self.counts
+    def total_mass(self) -> float | np.ndarray:
+        """The mass: a float for one sequence, per coordinate jointly."""
+        mass = self.values.T @ self.counts
+        return float(mass) if self.dim == 1 else mass
 
     def is_normalized(self, tol: float = _MASS_TOL) -> bool:
         return bool(np.all(np.abs(self.total_mass - 1.0) <= tol))
 
+    def to_dense(self) -> np.ndarray:
+        """One value (row) per element, descending (requires integral counts)."""
+        reps = np.rint(self.counts).astype(np.int64)
+        if np.any(np.abs(reps - self.counts) > 1e-9):
+            raise ValueError("dense expansion needs integral counts")
+        return np.repeat(self.values, reps, axis=0)
+
+    def as_pairs(self) -> tuple[tuple, ...]:
+        """(value, count) per level; a joint value is a list of d floats."""
+        return tuple(zip(self.values.tolist(), self.counts.tolist()))
+
     def to_dict(self) -> dict:
-        return {
-            "levels": [
-                [[float(v) for v in row], float(c)]
-                for row, c in zip(self.values, self.counts)
-            ],
-            "mass": [float(m) for m in self.total_mass],
-        }
+        return {"levels": [list(pair) for pair in self.as_pairs()],
+                "mass": np.asarray(self.total_mass).tolist()}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def pseudo_from_assignment(
-    rounded: RoundedSolution,
-) -> LevelSetDistribution | PairedLevelSetDistribution:
+PairedLevelSetDistribution = LevelSetDistribution  # so code naming the joint case keeps working
+
+
+def pseudo_from_assignment(rounded: RoundedSolution) -> LevelSetDistribution:
     """Level-set view of a rounded assignment: one level per nonempty row."""
     row_sums = rounded.X.sum(axis=1)
     keep = row_sums > 0
-    values = rounded.spec_ext.levels[keep]
-    counts = row_sums[keep]
-    if values.size == 0:
+    if not np.any(keep):
         raise ValueError("assignment has no elements")
-    if values.shape[1] == 1:
-        return LevelSetDistribution(values[:, 0], counts)
-    return PairedLevelSetDistribution(values, counts)
+    return LevelSetDistribution(rounded.spec_ext.levels[keep], row_sums[keep])
 
 
-def normalize(dist):
+def normalize(dist: LevelSetDistribution) -> LevelSetDistribution:
     """Scale level values so every coordinate's mass is exactly one."""
     mass = dist.total_mass
     if np.any(np.atleast_1d(mass) <= 0):
         raise ValueError("cannot normalize zero mass")
-    if isinstance(dist, PairedLevelSetDistribution):
-        return PairedLevelSetDistribution(dist.values / mass, dist.counts)
     return LevelSetDistribution(dist.values / mass, dist.counts)
 
 
-def _require_normalized(dist) -> None:
+def _require(dist: LevelSetDistribution, what: str, dim: int | None = None) -> None:
+    """Refuse a distribution of another dimension than ``dim``, or not normalized."""
+    if dim is not None and dist.dim != dim:
+        raise ValueError(f"{what} is defined at d = {dim} only, not d = {dist.dim}")
     if not dist.is_normalized():
         raise ValueError("estimator requires a normalized distribution")
 
 
 def entropy(dist: LevelSetDistribution) -> float:
     """Shannon entropy in nats: -sum count * value * log(value)."""
-    _require_normalized(dist)
+    _require(dist, "entropy", dim=1)
     return float(-(dist.counts * dist.values * np.log(dist.values)).sum())
 
 
 def support_size(dist: LevelSetDistribution) -> int:
-    _require_normalized(dist)
+    """Number of elements, at any d."""
+    _require(dist, "support size")
     total = dist.counts.sum()
     if abs(total - round(total)) > 1e-9:
         raise ValueError("support size needs integral counts")
@@ -192,7 +160,7 @@ def support_size(dist: LevelSetDistribution) -> int:
 
 def support_coverage(dist: LevelSetDistribution, draws: int) -> float:
     """Expected number of distinct elements seen in `draws` samples."""
-    _require_normalized(dist)
+    _require(dist, "support coverage", dim=1)
     if draws < 0:
         raise ValueError("draws must be nonnegative")
     return float((dist.counts * (1.0 - (1.0 - dist.values) ** draws)).sum())
@@ -204,7 +172,7 @@ def distance_to_uniformity(dist: LevelSetDistribution, k: int) -> float:
     The caller fixes the comparison domain size k; elements beyond the support
     are padded with probability zero and each contributes 1/k.
     """
-    _require_normalized(dist)
+    _require(dist, "distance to uniformity", dim=1)
     support = support_size(dist)
     if k < support:
         raise ValueError(f"comparison domain {k} smaller than support {support}")
@@ -212,11 +180,9 @@ def distance_to_uniformity(dist: LevelSetDistribution, k: int) -> float:
     return float(inside + (k - support) / k)
 
 
-def kl_plugin(dist: PairedLevelSetDistribution) -> float:
-    """KL divergence between the two coordinates of a paired distribution."""
-    if dist.dim != 2:
-        raise ValueError("KL divergence needs a two-coordinate distribution")
-    _require_normalized(dist)
+def kl_plugin(dist: LevelSetDistribution) -> float:
+    """KL divergence between the two coordinates of a joint distribution."""
+    _require(dist, "KL divergence", dim=2)
     first = dist.values[:, 0]
     second = dist.values[:, 1]
     active = first > 0

@@ -57,11 +57,17 @@ class GridSearchConfig:
 
 
 def _as_prob_vector(probs) -> np.ndarray:
+    """A pseudo-distribution: finite nonnegative entries of total at most one."""
     p = np.asarray(probs, dtype=float).ravel()
     if p.size == 0:
         raise ValueError("empty probability vector")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
+    # Entries of at most one cannot overflow the sum.
+    if np.any(p > 1) or p.sum() > 1 + 1e-9:
+        raise ValueError("probabilities must sum to at most one")
     return p
 
 
@@ -168,10 +174,11 @@ def levelset_profile_logprob(values, counts, profile: Profile, *, cap: int = 2_0
     """Exact log-probability of a profile under a level-set (pseudo-)distribution.
 
     Groups the type enumeration by probability level, so a distribution with
-    many elements but few distinct values stays tractable. Equality with
+    many elements but few distinct values stays tractable. This is
+    :func:`pml.multi.levelset_d_profile_logprob` at d = 1; equality with
     :func:`profile_logprob` on expanded supports is exercised by the tests.
     """
-    from . import assignment
+    from .multi import DProfile, levelset_d_profile_logprob  # multi imports this module
 
     values = np.asarray(values, dtype=float).ravel()
     counts = np.asarray(counts, dtype=np.int64).ravel()
@@ -179,19 +186,7 @@ def levelset_profile_logprob(values, counts, profile: Profile, *, cap: int = 2_0
         raise ValueError("values and counts must have matching shapes")
     if np.any(counts < 1) or np.any(values <= 0):
         raise ValueError("levels need positive values and counts")
-    # The grouped sum is over distinct level values only.
-    merged: dict[float, int] = {}
-    for v, c in zip(values, counts):
-        merged[float(v)] = merged.get(float(v), 0) + int(c)
-    values = np.array(sorted(merged, reverse=True))
-    counts = np.array([merged[v] for v in values], dtype=np.int64)
-    spec = assignment.AssignmentSpec(
-        levels=values,
-        freqs=np.concatenate([[0], profile.frequencies()]),
-        col_counts=profile.counts(),
-        row_counts=counts,
-    )
-    return log_profile_coefficient(profile) + assignment.log_weight_sum(spec, cap=cap)
+    return levelset_d_profile_logprob(values, counts, DProfile.from_profile(profile), cap=cap)
 
 
 def brute_force_pml(

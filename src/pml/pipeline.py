@@ -15,12 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import assignment, rounding, solver
-from .estimators import (
-    LevelSetDistribution,
-    PairedLevelSetDistribution,
-    normalize,
-    pseudo_from_assignment,
-)
+from .estimators import LevelSetDistribution, normalize, pseudo_from_assignment
 from .multi import DProfile, build_d_grids, discretize_d_profile, log_d_profile_coefficient
 from .profiles import Profile
 
@@ -159,7 +154,7 @@ def approximate_pml_d(
     eps2: tuple[float, ...] | None = None,
     delta: float | None = None,
     max_iters: int = 300,
-) -> tuple[LevelSetDistribution | PairedLevelSetDistribution, PipelineDiagnostics]:
+) -> tuple[LevelSetDistribution, PipelineDiagnostics]:
     """Approximate PML over d sample sequences jointly (d <= 3).
 
     Per-coordinate grid coarseness defaults to ``n_k**(-1/(2d+1))``, which is

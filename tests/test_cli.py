@@ -193,6 +193,17 @@ def test_estimate_multiple_profiles(tmp_path, runner):
         ("estimate-d", '{"d": 2, "entries": [[[1.5, 1], 1]]}', [], 1),
         ("estimate-d", '{"d": 2, "entries": [[[1, 1], true]]}', [], 1),
         ("estimate-d", '{"d": 2, "entries": [[[1], 1]]}', [], 1),
+        # Non-finite entries and a total above one are not a pseudo-distribution.
+        ("exact", '{"pairs": [[1, 2]], "probs": [NaN, 0.5, 0.5]}', ["{path}"], 1),
+        ("exact", '{"pairs": [[1, 2]], "probs": [Infinity, 0.5]}', ["{path}"], 1),
+        ("exact", '{"pairs": [[1, 2]], "probs": [1e308, 1e308]}', ["{path}"], 1),
+        ("exact", '{"pairs": [[1, 2]], "probs": [0.5, 0.7]}', ["{path}"], 1),
+        ("bruteforce", '{"pairs": [[1, 2]]}', ["--support-cap", "0"], 1),
+        # A joint estimate takes support and kl.
+        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1]]}',
+         ["--property", "support", "--property", "kl"], 0),
+        ("estimate-d", '{"d": 2, "entries": [[[1, 0], 2], [[0, 1], 2], [[1, 1], 1]]}',
+         ["--property", "support", "--property", "kl"], 0),
     ],
 )
 def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, args, code):
@@ -205,6 +216,22 @@ def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, ar
         assert len(result.stderr.strip().splitlines()) == 1
     else:
         assert json.loads(result.stdout)["certified"] is True
+
+
+JOINT_PAIRS = [
+    '{"d": 2, "entries": [[[1, 1], 1]]}',
+    '{"d": 2, "entries": [[[1, 0], 2], [[0, 1], 2], [[1, 1], 1]]}',
+]
+
+
+@pytest.mark.parametrize("text", JOINT_PAIRS)
+@pytest.mark.parametrize("prop", ["entropy", "coverage:3", "uniformity:5"])
+def test_joint_estimate_refuses_one_sequence_properties(tmp_path, runner, text, prop):
+    path = write(tmp_path, "dp.json", text)
+    result = runner.invoke(main, ["estimate-d", path, "--property", prop])
+    assert result.exit_code == 1, result.output
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "defined at d = 1 only" in result.stderr
 
 
 @pytest.mark.parametrize(

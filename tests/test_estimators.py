@@ -117,3 +117,30 @@ def test_validation_errors():
         LevelSetDistribution(np.array([0.5]), np.array([0]))
     with pytest.raises(ValueError):
         PairedLevelSetDistribution(np.array([[0.0, 0.0]]), np.array([1]))
+
+
+def test_one_sequence_estimators_refuse_joint_distributions():
+    joint = PairedLevelSetDistribution(np.array([[0.5, 0.25], [0.25, 0.375]]), np.array([1, 2]))
+    assert joint.dim == 2
+    for estimate in (entropy, lambda d: support_coverage(d, 3),
+                     lambda d: distance_to_uniformity(d, 5)):
+        with pytest.raises(ValueError, match="d = 1"):
+            estimate(joint)
+    with pytest.raises(ValueError, match="d = 2"):
+        kl_plugin(levelset([(0.5, 2)]))
+
+
+def test_support_size_of_a_joint_distribution_counts_its_elements():
+    joint = PairedLevelSetDistribution(
+        np.array([[0.5, 0.0], [0.0, 0.5], [0.25, 0.25]]), np.array([1, 1, 2])
+    )
+    assert support_size(joint) == 4
+
+
+def test_validation_refuses_nan_values_and_counts():
+    with pytest.raises(ValueError):
+        LevelSetDistribution(np.array([np.nan]), np.array([1]))
+    with pytest.raises(ValueError):
+        LevelSetDistribution(np.array([0.5]), np.array([np.nan]))
+    with pytest.raises(ValueError):
+        PairedLevelSetDistribution(np.array([[0.5, np.nan]]), np.array([1]))

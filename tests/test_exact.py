@@ -137,3 +137,13 @@ def test_levelset_merges_duplicate_values():
     merged = levelset_profile_logprob([0.25, 0.25], [1, 1], profile)
     direct = levelset_profile_logprob([0.25], [2], profile)
     assert merged == pytest.approx(direct, abs=1e-12)
+
+
+def test_oracles_refuse_what_is_not_a_pseudo_distribution():
+    profile = Profile(((1, 2),))
+    for probs in ([float("nan"), 0.5, 0.5], [float("inf"), 0.5], [1e308, 1e308], [0.5, 0.7]):
+        with pytest.raises(ValueError):
+            profile_logprob(probs, profile)
+    # Mass below one is a pseudo-distribution, and a rounding excess is forgiven.
+    assert profile_logprob([0.25, 0.25], profile) == pytest.approx(math.log(2 * 0.25**2))
+    assert np.isfinite(profile_logprob([0.5, 0.5 + 1e-12], profile))
