@@ -3,6 +3,13 @@
 ``logsumexp`` and ``log_factorial`` (``gammaln(x + 1)`` at integers) are the
 only ones it needs. Keeping them here means importing ``pml``, and so every
 ``pml`` command's start-up, loads no scipy module.
+
+``clipped_exp`` raises every exponent to at least ``EXP_FLOOR`` = -700, where
+``exp`` is still a normal double. numpy's ``exp`` (2.4, x86-64) is 4 to 40
+times slower on arguments whose results underflow, to a subnormal number or
+to zero, than on normal ones, and the solver's row terms span thousands of
+log units. The clip can only raise a term, so a sum of clipped exponentials
+never undercounts.
 """
 
 from __future__ import annotations
@@ -12,22 +19,34 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["logsumexp", "log_factorial"]
+__all__ = ["EXP_FLOOR", "clipped_exp", "logsumexp", "log_factorial"]
 
 _TABLE_SIZE = 1 << 16
+EXP_FLOOR = -700.0  # exp(-708.4) is the smallest normal double
+
+
+def clipped_exp(x):
+    """``exp(max(x, EXP_FLOOR))``: never subnormal or zero, and never below ``exp(x)``."""
+    return np.exp(np.maximum(x, EXP_FLOOR))
 
 
 def logsumexp(a, axis: int | None = None):
     """``log(sum(exp(a)))`` over ``axis`` (all entries when None), shifted by the max.
 
-    A slice that is empty or all ``-inf`` gives ``-inf`` without a warning.
-    Returns a float for a full reduction and an array otherwise.
+    The shifted exponents are clipped from below at ``EXP_FLOOR``
+    (:func:`clipped_exp`), so no ``exp`` underflows. The largest term is one,
+    so the clip moves the result by at most ``n e^-700`` relative: it is
+    lost in roundoff, and it only ever raises the sum. A slice that is
+    empty or all ``-inf`` gives ``-inf`` without a warning, and one holding
+    ``+inf`` gives ``+inf``. Returns a float for a full reduction and an
+    array otherwise.
     """
     a = np.asarray(a, dtype=float)
     top = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
-    top = np.where(np.isfinite(top), top, 0.0)
+    shift = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
+        out = np.log(np.sum(clipped_exp(a - shift), axis=axis, keepdims=True)) + shift
+    out = np.where(top == -np.inf, -np.inf, out)  # the clip would lift these to -699
     return float(out.reshape(())) if axis is None else np.squeeze(out, axis=axis)
 
 

@@ -308,11 +308,17 @@ def levelset_d_profile_logprob(
 
     Groups the type enumeration by level tuple. Levels may have zero
     coordinates; columns observed in a coordinate the level lacks are blocked.
+    Each coordinate must be a pseudo-distribution: finite values in [0, 1]
+    whose mass ``sum counts * values`` is at most one.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
     counts = np.asarray(counts, dtype=np.int64).ravel()
+    if not np.all(np.isfinite(values)):
+        raise ValueError("level values must be finite")
+    if np.any((values < 0) | (values > 1)) or np.any(counts @ values > 1 + 1e-9):
+        raise ValueError("level values must lie in [0, 1] with mass at most one")
     values, counts = merge_levels(values, counts)  # the grouped sum needs distinct rows
     freqs = dprofile.freq_array().astype(float)
     spec = assignment.AssignmentSpec(

@@ -15,7 +15,11 @@ reduced function, and t falls tenfold per stage from 0.1 n'.
 
 Both Newton solves are value first: a trial point gets only its value, and
 the gradient and Hessian are built from the state of a point once it is
-accepted (most trials are rejected). The mu Hessian drops rows with
+accepted (most trials are rejected). Every exponential on that path is
+clipped from below at ``EXP_FLOOR`` = -700 (:func:`clipped_exp`), which keeps
+numpy's ``exp`` off its slow underflow path: the row terms span thousands of
+log units, and without the clip most value calls underflow. A clipped term
+is only ever raised, never lowered. The mu Hessian drops rows with
 ``a_i <= 1e-150`` and entries of ``P`` below 1e-150, which keeps its matrix
 product off subnormal numbers; see :class:`_ReducedDual`.
 
@@ -23,9 +27,10 @@ Each stage proposes one primal point, its smoothed primal
 ``X_ij = a_i softmax_j(C_ij - mu_j)`` (with the unseen column's logit 0) made
 feasible by :func:`_feasible`; the boundary start :func:`initial_point` is
 the first candidate, for feasible sets with no interior. The certified gap
-is the dual value, repaired to exact feasibility against the exact, unclipped
-row term, minus the relaxed score of the best feasible candidate; neither
-bound depends on how the point or multipliers were found.
+is the dual value, repaired to feasibility against the row terms, minus the
+exact relaxed score of the best feasible candidate. The clip can only
+overstate a row term, so lam repaired against it is feasible for the exact
+ones too; neither bound depends on how the point or multipliers were found.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import logsumexp
+from ._special import clipped_exp, logsumexp
 from .assignment import AssignmentSpec, is_feasible, log_weight_relaxed
 
 # bench/spans.py patches linprog, minimize, log_weight_relaxed and
@@ -153,15 +158,29 @@ def initial_point(spec: AssignmentSpec) -> np.ndarray:
     return X
 
 
-def _row_terms(spec: AssignmentSpec, mu: np.ndarray) -> np.ndarray:
-    """Exact ``W_i = log(1 + sum_j exp(C_ij - mu_j))`` over the finite mu.
+def _log1p_sum_exp(Z: np.ndarray) -> np.ndarray:
+    """``log(1 + sum_j exp(Z_ij))`` per row, shifted by ``max(0, max_j Z_ij)``.
 
-    Evaluated as ``logaddexp(0, logsumexp(...))``, so no term is clipped: a
-    bound repaired against an undercounted W is no bound at all.
+    Every shifted exponent is clipped at ``EXP_FLOOR``, so no ``exp``
+    underflows. The clip only raises terms, so the result is never below the
+    exact value, and it exceeds it by at most ``(J + 1) e^-700`` relative (the
+    largest shifted term is one), which is lost in roundoff.
+    """
+    top = Z.max(axis=1, initial=0.0)
+    terms = clipped_exp(-top) + clipped_exp(Z - top[:, None]).sum(axis=1)
+    return top + np.log(terms)
+
+
+def _row_terms(spec: AssignmentSpec, mu: np.ndarray) -> np.ndarray:
+    """``W_i = log(1 + sum_j exp(C_ij - mu_j))`` over the finite mu, never undercounted.
+
+    A bound repaired against an undercounted W is no bound at all. The clip
+    in :func:`_log1p_sum_exp` only overstates W, so lam repaired against it
+    satisfies every true row constraint too, and the dual value stays an
+    upper bound.
     """
     finite = np.isfinite(mu)
-    shifted = spec.lin_coeff[:, 1:][:, finite] - mu[finite]
-    return np.logaddexp(0.0, logsumexp(shifted, axis=1))
+    return _log1p_sum_exp(spec.lin_coeff[:, 1:][:, finite] - mu[finite])
 
 
 def _repaired_dual_value(
@@ -203,8 +222,11 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
     grad, H, state = derivatives(x, state)
     tau, steps, eye = 0.0, 0, np.eye(x.size)
     while steps < max_steps:
-        free = np.full(x.size, True) if lower is None else (x > lower) | (grad < 0)
-        H = np.where(np.outer(free, free) | (eye > 0), H, 0.0)
+        if lower is None:
+            free = slice(None)  # every coordinate is free
+        else:
+            free = (x > lower) | (grad < 0)
+            H = np.where(np.outer(free, free) | (eye > 0), H, 0.0)
         scale = float(np.abs(np.diag(H)).max(initial=0.0)) + 1e-300
         trial = None
         while tau < 1e8:
@@ -247,10 +269,10 @@ def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, t:
 
     def value(lam):
         s = (W - levels @ lam) / (kappa * t)
-        return lam.sum() + t * np.exp(s).sum(), s
+        return lam.sum() + t * clipped_exp(s).sum(), s
 
     def derivatives(lam, s):
-        e = np.exp(s)
+        e = clipped_exp(s)
         return 1.0 - share.T @ e, (share.T * (e / t)) @ share, s
 
     lam = lam * np.max(W / (levels @ lam))
@@ -279,9 +301,19 @@ class _ReducedDual:
     entries of order ``c_j >= 1`` it is added to. The floor squared is still
     a normal double, which keeps the Hessian's matrix product off subnormal
     operands: nearly empty rows (``a_i`` down to 1e-308) and ``exp(Z - W)``
-    down to e^-21444 made that product ten times slower. The Hessian only
-    steers the steps; the certificate reads the exact row terms in
-    :func:`_repaired_dual_value` and the primal's :func:`log_weight_relaxed`.
+    down to e^-21444 made that product ten times slower.
+
+    Every exponential here is :func:`clipped_exp`, floored at ``e^-700``
+    (about 1e-304), which keeps numpy's ``exp`` off its slow underflow path.
+    The clip only raises a term, so ``W`` (see :func:`_log1p_sum_exp`) and
+    ``F_t`` can only be overstated, by amounts lost in roundoff. An entry of
+    ``P`` that the clip touches is below ``FLOOR`` and is zeroed, as it would
+    be unclipped, and a row whose ``a_i`` is clipped (at most
+    ``e^-700 / kappa_i``, with ``kappa_i`` at least about ``1 / (2 n^2)``) is
+    dropped. The Hessian only steers the steps. The certificate reads
+    :func:`_row_terms`, which the same clip can only overstate, in
+    :func:`_repaired_dual_value`, and scores the primal exactly with
+    :func:`log_weight_relaxed`.
     """
 
     FLOOR = 1e-150
@@ -298,9 +330,9 @@ class _ReducedDual:
     def value(self, mu: np.ndarray):
         """``F_t(mu)`` and the state ``(Z, W, lam, s)`` it computed."""
         Z = self.C - mu
-        W = np.logaddexp(0.0, logsumexp(Z, axis=1))
+        W = _log1p_sum_exp(Z)
         self.lam, s = _budget_multipliers(W, self.levels, self.kappa, self.t, self.lam)
-        value = float(self.c @ mu + self.lam.sum() + self.t * np.exp(s).sum())
+        value = float(self.c @ mu + self.lam.sum() + self.t * clipped_exp(s).sum())
         return value, (Z, W, self.lam, s)
 
     def derivatives(self, mu: np.ndarray, state):
@@ -308,18 +340,22 @@ class _ReducedDual:
         ``(lam, a, W, rows, P)`` of the smoothed primal ``X = a_i P_ij`` (zero
         off ``rows``)."""
         Z, W, lam, s = state
-        a = np.exp(s) / self.kappa
+        a = clipped_exp(s) / self.kappa
         rows = a > self.FLOOR
-        P = np.exp(Z[rows] - W[rows, None])
+        P = clipped_exp(Z[rows] - W[rows, None])
         P[P < self.FLOOR] = 0.0
         kappa, used = self.kappa[rows], a[rows]
         q = used / (kappa * self.t)
         mass = P.T @ used
         H = (P.T * (q - used)) @ P
-        H[np.diag_indices_from(H)] += mass
+        H.flat[:: mass.size + 1] += mass  # the diagonal
         L = self.levels[rows][:, lam > 0]
         K = (P.T * q) @ L
-        H -= K @ np.linalg.pinv((L.T * q) @ L) @ K.T
+        M = (L.T * q) @ L
+        if M.shape == (1, 1) and M[0, 0] > 0:  # one budget: pinv is a division
+            H -= (K / M[0, 0]) @ K.T
+        else:
+            H -= K @ np.linalg.pinv(M) @ K.T
         return self.c - mass, H, (lam, a, W, rows, P)
 
 

@@ -147,3 +147,22 @@ def test_oracles_refuse_what_is_not_a_pseudo_distribution():
     # Mass below one is a pseudo-distribution, and a rounding excess is forgiven.
     assert profile_logprob([0.25, 0.25], profile) == pytest.approx(math.log(2 * 0.25**2))
     assert np.isfinite(profile_logprob([0.5, 0.5 + 1e-12], profile))
+
+
+@pytest.mark.parametrize(
+    "values, counts, pairs",
+    [
+        ([0.9], [5], ((1, 2),)),  # mass 4.5: unchecked, the oracle gives 2.785, above log 1
+        ([float("nan")], [1], ((1, 1),)),  # unchecked, the oracle gives 0.0
+        ([0.5, 0.3], [1, 2], ((1, 1),)),  # mass 1.1
+    ],
+)
+def test_levelset_oracle_refuses_what_is_not_a_pseudo_distribution(values, counts, pairs):
+    with pytest.raises(ValueError):
+        levelset_profile_logprob(values, counts, Profile(pairs))
+
+
+def test_levelset_oracle_forgives_a_rounding_excess():
+    profile = Profile(((1, 2),))
+    assert levelset_profile_logprob([0.5], [2], profile) == pytest.approx(math.log(0.5))
+    assert np.isfinite(levelset_profile_logprob([0.5 + 1e-12], [2], profile))

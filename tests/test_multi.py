@@ -212,3 +212,19 @@ def test_brute_force_d2_prefers_matching_pair():
     pair, logprob = brute_force_pml_d(dp, support_cap=2, resolution=4)
     assert logprob == pytest.approx(0.0, abs=1e-12)
     assert pair[0].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "values, counts",
+    [
+        ([[0.9, 0.9]], [5]),  # mass 4.5 in each coordinate: unchecked, the oracle gives 2.574
+        ([[0.5, 0.1], [0.3, 0.1]], [1, 2]),  # mass 1.1 in the first coordinate only
+        ([[0.5, 1.5]], [1]),  # a value above one
+        ([[0.5, -0.1]], [1]),  # a negative value
+        ([[float("nan"), 0.5]], [1]),
+        ([[float("inf"), 0.5]], [1]),
+    ],
+)
+def test_levelset_d_oracle_refuses_what_is_not_a_pseudo_distribution(values, counts):
+    with pytest.raises(ValueError):
+        levelset_d_profile_logprob(values, counts, d_profile_of([[0, 0], [1, 1]]))

@@ -267,3 +267,31 @@ def test_hessians_only_at_accepted_points(monkeypatch):
     assert steps == result.iterations
     assert sum(r["derivatives"] for r in records) == steps + len(records)
     assert sum(r["values"] for r in records) <= 176
+
+
+def test_value_and_row_terms_never_underflow(monkeypatch):
+    # The Zipf(1) n = 3000 profile (k = 1500, default_rng(0)): its row terms
+    # span thousands of log units, and numpy's exp is many times slower on
+    # results that underflow. Every value call of the solve, each stage's end
+    # point included, and every repaired row term run with underflow raised;
+    # before the exponents were clipped, every one of its value calls raised.
+    p = 1.0 / np.arange(1, 1501)
+    sample = np.random.default_rng(0).choice(1500, size=3000, p=p / p.sum())
+    spec = default_grid_spec([[str(x) for x in sample]])
+    calls = {"value": 0, "row_terms": 0}
+    value, row_terms = _ReducedDual.value, solver_module._row_terms
+
+    def strict_value(dual, mu):
+        calls["value"] += 1
+        with np.errstate(under="raise"):
+            return value(dual, mu)
+
+    def strict_row_terms(spec, mu):
+        calls["row_terms"] += 1
+        with np.errstate(under="raise"):
+            return row_terms(spec, mu)
+
+    monkeypatch.setattr(_ReducedDual, "value", strict_value)
+    monkeypatch.setattr(solver_module, "_row_terms", strict_row_terms)
+    assert solve(spec).certified
+    assert calls["value"] > 100 and calls["row_terms"] >= 2

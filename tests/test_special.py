@@ -1,5 +1,6 @@
 """The numpy replacements for scipy routines, checked against scipy itself."""
 
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +41,28 @@ def test_logsumexp_of_nothing_is_minus_inf():
     assert logsumexp(np.full(3, -np.inf)) == -np.inf
     assert logsumexp(np.zeros((0, 4)), axis=0).tolist() == [-np.inf] * 4
     assert logsumexp(np.zeros((4, 0)), axis=1).tolist() == [-np.inf] * 4
+
+
+def test_logsumexp_of_a_wide_row_is_exact_without_underflow():
+    # A row spanning [-20000, 0] with terms at e^-720, which are subnormal,
+    # shifted by 0 and by 37.25. Every exp must stay normal (numpy's exp is
+    # many times slower when it underflows), the result must match an exact
+    # math.fsum reference to one ulp, and the clip may only raise it.
+    row = np.concatenate([[0.0, -0.5, -3.0, -30.0, -700.0, -708.0], np.full(5, -720.0),
+                          np.linspace(-20000.0, -750.0, 40)])
+    exact = math.log(math.fsum(math.exp(x) for x in row))
+    rows = np.stack([row, row + 37.25])
+    with np.errstate(under="raise"):
+        got = [logsumexp(row), *logsumexp(rows, axis=1)]
+    for value, ref in zip(got, [exact, exact, exact + 37.25]):
+        assert abs(value - ref) <= math.ulp(ref)
+        assert value >= ref
+
+
+def test_logsumexp_of_a_row_holding_plus_inf_is_plus_inf():
+    rows = np.array([[0.0, np.inf, -np.inf], [np.inf, -5.0, 1.0]])
+    assert logsumexp(rows, axis=1).tolist() == [np.inf, np.inf]
+    assert logsumexp([1.0, np.inf]) == np.inf
 
 
 @pytest.mark.parametrize("k", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 10**11])
