@@ -14,6 +14,7 @@ matrices and is concave.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -217,7 +218,11 @@ def is_feasible(X, spec: AssignmentSpec, tol: float = 1e-9, integral: bool = Fal
 
 
 def _observed_combos(spec: AssignmentSpec, cap: int):
-    """Iterate over observed-column placements as (R, J-1) integer arrays."""
+    """Observed-column placements as (R, J-1) integer arrays, yielded lazily.
+
+    Raises :class:`EnumerationCapError` at the call, before any placement is
+    built, when there would be more than `cap` of them.
+    """
     R = spec.num_levels
     est = 1
     for count in spec.col_counts:
@@ -227,17 +232,10 @@ def _observed_combos(spec: AssignmentSpec, cap: int):
                 f"observed placements exceed cap ({est} > {cap})"
             )
     per_col = [composition_array(int(count), R) for count in spec.col_counts]
-
-    def rec(j, partial):
-        if j == len(per_col):
-            yield partial.copy()
-            return
-        for row in per_col[j]:
-            partial[:, j] = row
-            yield from rec(j + 1, partial)
-            partial[:, j] = 0
-
-    yield from rec(0, np.zeros((R, len(per_col)), dtype=np.int64))
+    return (
+        np.array(cols, dtype=np.int64).reshape(len(per_col), R).T
+        for cols in itertools.product(*per_col)
+    )
 
 
 def iter_feasible(spec: AssignmentSpec, cap: int = 200_000):
@@ -290,8 +288,13 @@ def iter_feasible(spec: AssignmentSpec, cap: int = 200_000):
 
 
 def _commensurable_units(spec: AssignmentSpec):
-    """Integer level multiples per coordinate, or None when levels are not
-    integer multiples of the smallest level (needed for exact counting)."""
+    """Integer level multiples and unit budgets per coordinate, or None.
+
+    Levels are commensurable when each is an integer multiple (within 1e-9)
+    of its coordinate's smallest level, as on grids built with eps = 1. The
+    budget is then a whole number of smallest-level units, and
+    :func:`count_feasible` counts the unseen column on that integer lattice.
+    """
     base = spec.levels.min(axis=0)
     ratios = spec.levels / base
     units = np.rint(ratios)
@@ -306,100 +309,32 @@ def has_commensurable_levels(spec: AssignmentSpec) -> bool:
     return _commensurable_units(spec) is not None
 
 
-def _fill_count_lower_bound(spec: AssignmentSpec, cap: int) -> int:
-    """A subset count of :func:`iter_feasible`'s matrices, stopped once it passes `cap`.
-
-    Puts every observed column on the cheapest level and counts the unseen
-    fills that use only the three cheapest levels and leave every
-    coordinate's remaining budget nonnegative. Those rows are walked in row
-    order with the same float arithmetic as :func:`_count_unseen_fills`, and
-    a zero fill leaves the remaining budget unchanged, so each fill counted
-    here is one that the full walk counts too.
-    """
-    order = np.argsort(spec.levels.sum(axis=1), kind="stable")
-    obs = np.zeros((spec.num_levels, spec.num_cols - 1))
-    obs[order[0]] = spec.col_counts
-    remaining = 1.0 - spec.levels.T @ obs.sum(axis=1)
-    if np.any(remaining < 0):
-        return 0
-    levels = [spec.levels[i].tolist() for i in sorted(order[:3])]
-    total = 0
-
-    def fill(k, rem):
-        nonlocal total
-        max_units = math.floor(min(r / lv + 1e-12 for r, lv in zip(rem, levels[k])))
-        if k == len(levels) - 1:
-            # Only the largest fill can overdraw the budget (by the 1e-12 slack).
-            over = max_units >= 0 and any(r - max_units * lv < 0 for r, lv in zip(rem, levels[k]))
-            total += max(max_units + 1, 0) - over
-            return
-        for u in range(max_units + 1):
-            fill(k + 1, tuple(r - u * lv for r, lv in zip(rem, levels[k])))
-            if total > cap:
-                return
-
-    fill(0, tuple(map(float, remaining)))
-    return total
-
-
-def _count_unseen_fills(spec: AssignmentSpec, cap: int) -> int:
-    """Number of matrices :func:`iter_feasible` yields, without building them.
-
-    Runs the same recursion over the unseen column with the same float
-    arithmetic (on Python floats), counts the last row's fills in closed
-    form, and raises :class:`EnumerationCapError` once the total passes `cap`,
-    straight away when :func:`_fill_count_lower_bound` already does.
-    """
-    if _fill_count_lower_bound(spec, cap) > cap:
-        raise EnumerationCapError(f"feasible set exceeds cap {cap}")
-    levels = spec.levels.tolist()
-    last = len(levels) - 1
-    total = 0
-
-    def fill(i, rem):
-        nonlocal total
-        max_units = math.floor(min(r / lv + 1e-12 for r, lv in zip(rem, levels[i])))
-        if i == last:
-            total += max(max_units + 1, 0)
-            if total > cap:
-                raise EnumerationCapError(f"feasible set exceeds cap {cap}")
-            return
-        for u in range(max_units + 1):
-            fill(i + 1, tuple(r - u * lv for r, lv in zip(rem, levels[i])))
-
-    for obs in _observed_combos(spec, cap):
-        remaining = 1.0 - spec.levels.T @ obs.sum(axis=1)
-        if not np.any(remaining < -1e-12):
-            fill(0, tuple(map(float, remaining)))
-    return total
-
-
 def count_feasible(spec: AssignmentSpec, cap: int = 2_000_000) -> int:
     """Exact cardinality of the integral feasible set.
 
-    For the budget variant the unseen column is counted with an integer
-    lattice dynamic program, which requires the level values to be integer
-    multiples of the smallest level (true for grids built with eps = 1);
-    other levels have their unseen fills counted one by one. Raises
-    :class:`EnumerationCapError` when the count cannot be obtained within
-    the cap.
+    With commensurable levels and free row counts, an integer-lattice dynamic
+    program counts the unseen fills for every remaining budget, and each
+    placement of the observed columns looks its count up. There `cap` bounds
+    the work, and two checks refuse before the table is built: more than
+    `cap` observed placements, or more than `cap` rows times table cells
+    (the table has one cell per budget vector, about (2 n^2)^d of them).
+    Every other spec is counted by enumerating :func:`iter_feasible`, which
+    refuses once the count passes `cap`. A refusal raises
+    :class:`EnumerationCapError`.
     """
-    R, _ = spec.shape
-    if spec.row_counts is not None:
-        total = 0
-        for obs in _observed_combos(spec, cap):
-            if np.all(obs.sum(axis=1) <= spec.row_counts):
-                total += 1
-        return total
-
-    units = _commensurable_units(spec)
+    units = None if spec.row_counts is not None else _commensurable_units(spec)
     if units is None:
-        return _count_unseen_fills(spec, cap)
+        return sum(1 for _ in iter_feasible(spec, cap))
     unit_costs, budgets = units
+    placements = _observed_combos(spec, cap)
+    shape = tuple(int(b) + 1 for b in budgets)
+    work = spec.num_levels * math.prod(shape)
+    if work > cap:
+        raise EnumerationCapError(f"counting work exceeds cap ({work} > {cap})")
 
     # ways[b1, .., bd] = number of unseen fills for rows >= i within budget b.
-    ways = np.ones(tuple(int(b) + 1 for b in budgets), dtype=object)
-    for i in reversed(range(R)):
+    ways = np.ones(shape, dtype=object)
+    for i in reversed(range(spec.num_levels)):
         nxt = ways.copy()
         cost = tuple(int(c) for c in unit_costs[i])
         for idx in np.ndindex(ways.shape):
@@ -412,7 +347,7 @@ def count_feasible(spec: AssignmentSpec, cap: int = 2_000_000) -> int:
 
     base = spec.levels.min(axis=0)
     total = 0
-    for obs in _observed_combos(spec, cap):
+    for obs in placements:
         remaining = 1.0 - spec.levels.T @ obs.sum(axis=1)
         if np.any(remaining < -1e-12):
             continue

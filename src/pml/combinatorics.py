@@ -54,6 +54,8 @@ def iter_partitions(total: int, max_part: int, max_parts: int):
         return
     if max_parts <= 0 or max_part <= 0:
         return
-    for first in range(min(total, max_part), 0, -1):
+    # A first part below total / max_parts leaves the rest too much to hold,
+    # so every first part tried here yields at least one partition.
+    for first in range(min(total, max_part), (total - 1) // max_parts, -1):
         for rest in iter_partitions(total - first, first, max_parts - 1):
             yield (first,) + rest

@@ -29,6 +29,7 @@ __all__ = [
 
 MAX_ORACLE_LENGTH = 12
 MAX_ORACLE_SUPPORT = 10
+MAX_GRID_CANDIDATES = 20_000
 
 
 class OracleSizeError(ValueError):
@@ -189,6 +190,24 @@ def levelset_profile_logprob(values, counts, profile: Profile, *, cap: int = 2_0
     return levelset_d_profile_logprob(values, counts, DProfile.from_profile(profile), cap=cap)
 
 
+def grid_partitions(resolution: int, support_cap: int, per_partition: int = 1) -> list:
+    """The nonincreasing grid vectors a brute-force search tries, as partitions.
+
+    Each partition of `resolution` into at most `support_cap` parts is tried
+    `per_partition` times. Raises :class:`OracleSizeError` when that makes
+    more than ``MAX_GRID_CANDIDATES`` candidates, after generating at most one
+    partition more than the limit allows.
+    """
+    limit = MAX_GRID_CANDIDATES // per_partition
+    parts = list(itertools.islice(iter_partitions(resolution, resolution, support_cap), limit + 1))
+    if len(parts) > limit:
+        raise OracleSizeError(
+            f"resolution {resolution} with support cap {support_cap} gives more than "
+            f"{MAX_GRID_CANDIDATES} candidate distributions"
+        )
+    return parts
+
+
 def brute_force_pml(
     profile: Profile, config: GridSearchConfig | None = None
 ) -> tuple[np.ndarray, float]:
@@ -196,7 +215,9 @@ def brute_force_pml(
 
     Enumerates nonincreasing probability vectors (multiples of 1/resolution,
     at most support_cap entries); the returned value is a certified lower
-    bound on the true PML objective.
+    bound on the true PML objective. Raises :class:`OracleSizeError` beyond
+    the oracle's length and support guards or ``MAX_GRID_CANDIDATES``
+    vectors.
     """
     if config is None:
         config = GridSearchConfig.default_for(profile)
@@ -210,7 +231,7 @@ def brute_force_pml(
         )
     best_logprob = float("-inf")
     best: np.ndarray | None = None
-    for parts in iter_partitions(config.resolution, config.resolution, config.support_cap):
+    for parts in grid_partitions(config.resolution, config.support_cap):
         candidate = np.array(parts, dtype=float) / config.resolution
         value = profile_logprob(candidate, profile)
         if best is None or value > best_logprob:

@@ -21,7 +21,7 @@ import numpy as np
 from . import assignment
 from ._special import log_factorial, logsumexp
 from .estimators import merge_levels
-from .exact import OracleSizeError
+from .exact import OracleSizeError, grid_partitions
 from .grids import (
     FrequencyGrid,
     ProbabilityGrid,
@@ -351,18 +351,20 @@ def brute_force_pml_d(
     The first coordinate runs over nonincreasing grid distributions (labels
     are broken by sorting), the second over all grid compositions on the same
     support, zeros allowed. Returns a certified lower bound on the joint PML
-    value.
+    value. Raises :class:`OracleSizeError` beyond the size guards, or when
+    the pairs would outnumber ``exact.MAX_GRID_CANDIDATES``.
     """
-    from .combinatorics import composition_array, iter_partitions
+    from .combinatorics import composition_array, num_compositions
 
     if dprofile.d != 2:
         raise ValueError("brute force implemented for d = 2")
     if support_cap > 4 or any(nk > 6 for nk in dprofile.n):
         raise OracleSizeError("d = 2 brute force limited to tiny instances")
+    firsts = grid_partitions(resolution, support_cap, num_compositions(resolution, support_cap))
     best = float("-inf")
     best_pair: np.ndarray | None = None
     second = composition_array(resolution, support_cap).astype(float) / resolution
-    for parts in iter_partitions(resolution, resolution, support_cap):
+    for parts in firsts:
         first = np.zeros(support_cap)
         first[: len(parts)] = np.array(parts, dtype=float) / resolution
         for q in second:

@@ -40,6 +40,14 @@ class PipelineDiagnostics:
 
     ``num_freqs`` counts the assignment problem's observed columns: the
     distinct discretized frequency tuples of the profile.
+
+    ``assignment_count_method`` is ``"counted"`` when ``log_num_assignments``
+    is the log of the exact feasible-set size. That happens only when the
+    level values are commensurable (every one an integer multiple of the
+    smallest, as on grids built with eps1 = 1) and the integer DP of
+    :func:`pml.assignment.count_feasible` fits the pipeline's cap on observed
+    placements and on rows times table cells. Otherwise it is ``"bound"``:
+    ``log_num_assignments`` is :func:`pml.assignment.log_count_bound`.
     """
 
     d: int
@@ -99,15 +107,16 @@ def _freq_disc_slack(d: int, n: np.ndarray, eps2: np.ndarray) -> float:
 
 
 def _log_num_assignments(spec: assignment.AssignmentSpec) -> tuple[float, str]:
-    # Exact counting is fast when the level values are commensurable (an
-    # integer-lattice DP covers the unseen column); otherwise it visits every
-    # unseen fill, so only tiny sets are worth counting directly.
-    cap = 150_000 if assignment.has_commensurable_levels(spec) else 4_000
-    try:
-        count = assignment.count_feasible(spec, cap=cap)
-        return (math.log(count) if count > 0 else 0.0), "counted"
-    except assignment.EnumerationCapError:
-        return assignment.log_count_bound(spec), "bound"
+    # Only commensurable levels have a cheap exact count (the integer DP);
+    # count_feasible refuses that too when its work would pass the cap.
+    # Every other spec gets the per-cell bound at once.
+    if assignment.has_commensurable_levels(spec):
+        try:
+            count = assignment.count_feasible(spec, cap=150_000)
+            return (math.log(count) if count > 0 else 0.0), "counted"
+        except assignment.EnumerationCapError:
+            pass
+    return assignment.log_count_bound(spec), "bound"
 
 
 def _stirling_upper_bound(spec: assignment.AssignmentSpec) -> float:

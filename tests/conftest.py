@@ -110,10 +110,14 @@ def rng():
     return make_rng(20240817)
 
 
-def default_grid_spec(sequences):
-    """The pipeline's assignment problem for these samples at the default grids."""
+def default_grid_spec(sequences, eps=None):
+    """The pipeline's assignment problem for these samples, at the default
+    grids or with every eps1 and eps2 equal to `eps`."""
     dp = d_profile_of([list(s) for s in sequences])
-    eps = tuple(min(1.0, nk ** (-1.0 / (2 * dp.d + 1))) for nk in dp.n)
+    if eps is None:
+        eps = tuple(min(1.0, nk ** (-1.0 / (2 * dp.d + 1))) for nk in dp.n)
+    else:
+        eps = (eps,) * dp.d
     grids = build_d_grids(dp.n, eps, eps)
     counts, _ = discretize_d_profile(dp, grids)
     observed = counts > 0

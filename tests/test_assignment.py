@@ -19,7 +19,7 @@ from pml import (
     profile_logprob,
 )
 from pml import assignment
-from pml.assignment import _fill_count_lower_bound, has_commensurable_levels
+from pml.assignment import has_commensurable_levels
 from pml.pipeline import _log_num_assignments
 from conftest import default_grid_spec, random_fractional_point, tiny_solver_specs
 
@@ -220,8 +220,8 @@ def test_midpoint_concavity(rng):
 @pytest.mark.parametrize("sequences", [["ab"], ["aab"], ["aa", "a"], ["ab", "a"]])
 def test_count_without_enumeration_on_default_grids(sequences):
     # Default-grid levels are not commensurable, so count_feasible counts the
-    # unseen fills without building them; it must agree with iter_feasible
-    # and be refused exactly when the count passes the cap.
+    # matrices iter_feasible yields; it must be refused exactly when the count
+    # passes the cap.
     spec = default_grid_spec(sequences)
     assert not has_commensurable_levels(spec)
     count = count_feasible(spec)
@@ -231,29 +231,38 @@ def test_count_without_enumeration_on_default_grids(sequences):
         count_feasible(spec, cap=count - 1)
 
 
-@pytest.mark.parametrize("sequences", [["ab"], ["aab"], ["aa", "a"], ["ab", "a"]])
-def test_fill_count_lower_bound_keeps_the_count(sequences):
-    # The subset count only skips walks that would pass the cap anyway: it
-    # never exceeds the true count, and the pipeline's count (4000 cap on
-    # these grids) is bit for bit what a full enumeration gives.
+@pytest.mark.parametrize(
+    "sequences", [["ab"], ["aab"], ["aa", "a"], ["ab", "a"], ["ab", "ab"], ["aabbb"]]
+)
+def test_levels_that_are_not_commensurable_get_the_bound_at_once(sequences, monkeypatch):
+    # The pipeline counts exactly only with the integer DP; on default-grid
+    # levels it returns the per-cell bound without placing an observed column.
+    def placed(*_):
+        raise AssertionError("observed columns were placed")
+
+    monkeypatch.setattr(assignment, "_observed_combos", placed)
     spec = default_grid_spec(sequences)
-    count = sum(1 for _ in iter_feasible(spec, cap=1_000_000))
-    assert 0 < _fill_count_lower_bound(spec, cap=10**9) <= count
-    expected = (math.log(count), "counted") if count <= 4000 else (log_count_bound(spec), "bound")
-    assert _log_num_assignments(spec) == expected
+    assert _log_num_assignments(spec) == (log_count_bound(spec), "bound")
 
 
-def test_fill_count_lower_bound_skips_the_doomed_walk(monkeypatch):
-    # n = 5 on the default grid: more than 3e5 fills, and 10 772 of them on
-    # the three cheapest levels alone, so a 4000 cap is refused without
-    # placing a single observed column.
-    spec = default_grid_spec(["aabbb"])
-    assert _fill_count_lower_bound(spec, cap=10**9) == 10_772
+def zipf_sample(n: int) -> list[int]:
+    """n draws from Zipf(1) over k = n/2 symbols, default_rng(0)."""
+    p = 1.0 / np.arange(1, n // 2 + 1)
+    return np.random.default_rng(0).choice(n // 2, size=n, p=p / p.sum()).tolist()
 
-    def walked(*_):
-        raise AssertionError("the unseen fills were walked")
 
-    monkeypatch.setattr(assignment, "_observed_combos", walked)
+def test_count_is_refused_before_the_dp_table_exists(monkeypatch):
+    def filled(*_):
+        raise AssertionError("the DP table was filled")
+
+    monkeypatch.setattr(np, "ndindex", filled)
+    # Zipf n = 300 at eps = 1: 19 levels, too many observed placements.
+    spec = default_grid_spec([zipf_sample(300)], eps=1.0)
+    assert has_commensurable_levels(spec)
     with pytest.raises(EnumerationCapError):
-        count_feasible(spec, cap=4000)
+        count_feasible(spec, cap=150_000)
+    # A point mass at n = 1000: one placement per level, but the table
+    # would have 2 * 1000^2 + 1 cells per level.
+    spec = default_grid_spec([[0] * 1000], eps=1.0)
+    assert has_commensurable_levels(spec)
     assert _log_num_assignments(spec) == (log_count_bound(spec), "bound")

@@ -134,6 +134,12 @@ def test_bruteforce_command(tmp_path, runner):
 
     big = write(tmp_path, "big.json", '{"pairs": [[50, 1]]}')
     assert runner.invoke(main, ["bruteforce", big]).exit_code == 3
+    # Far more candidate distributions than the search may score.
+    fine = write(tmp_path, "fine.json", '{"pairs": [[1, 3]]}')
+    result = runner.invoke(main, ["bruteforce", fine, "--resolution", "200"])
+    assert result.exit_code == 3
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "candidate distributions" in result.stderr
 
 
 def test_estimate_d_command(tmp_path, runner):

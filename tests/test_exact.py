@@ -15,6 +15,7 @@ from pml import (
     profile_of_sequence,
     sequence_logprob,
 )
+from pml import exact
 from conftest import make_rng, random_distribution, random_profile
 
 
@@ -115,6 +116,24 @@ def test_brute_force_guards():
         GridSearchConfig(support_cap=9, resolution=5, n=2)  # 9 > 2 n^2
     with pytest.raises(OracleSizeError):
         brute_force_pml(Profile(((13, 1),)))
+
+
+def test_brute_force_refuses_too_many_candidates_before_scoring_one(monkeypatch):
+    profile = Profile(((1, 3),))
+    calls = []
+    monkeypatch.setattr(exact, "profile_logprob", lambda probs, _: calls.append(probs) or 0.0)
+    # Resolution 40 over at most 10 parts: 16 928 candidates, all scored.
+    brute_force_pml(profile, GridSearchConfig.default_for(profile, 40))
+    assert len(calls) == 16_928
+
+    def scored(*_):
+        raise AssertionError("a candidate was scored")
+
+    monkeypatch.setattr(exact, "profile_logprob", scored)
+    # 1 314 972 candidates at resolution 80; far more at the others.
+    for resolution in (80, 200, 10**9):
+        with pytest.raises(OracleSizeError):
+            brute_force_pml(profile, GridSearchConfig.default_for(profile, resolution))
 
 
 def test_levelset_profile_logprob_matches_dense():

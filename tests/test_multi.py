@@ -6,6 +6,7 @@ import pytest
 
 from pml import (
     DProfile,
+    OracleSizeError,
     Profile,
     approximate_pml,
     approximate_pml_d,
@@ -20,6 +21,7 @@ from pml import (
     profile_logprob,
     profile_of_sequence,
 )
+from pml import multi
 from conftest import make_rng, random_distribution, random_sequence
 
 
@@ -212,6 +214,25 @@ def test_brute_force_d2_prefers_matching_pair():
     pair, logprob = brute_force_pml_d(dp, support_cap=2, resolution=4)
     assert logprob == pytest.approx(0.0, abs=1e-12)
     assert pair[0].tolist() == [1.0, 1.0]
+
+
+def test_brute_force_d2_refuses_too_many_pairs_before_scoring_one(monkeypatch):
+    dp = d_profile_of(["ab", "ab"])
+    calls = []
+    monkeypatch.setattr(multi, "exact_d_profile_logprob", lambda q, _: calls.append(q) or 0.0)
+    # 7 partitions of 6 into at most 3 parts, times 28 compositions.
+    brute_force_pml_d(dp, support_cap=3, resolution=6)
+    assert len(calls) == 7 * 28
+
+    def scored(*_):
+        raise AssertionError("a pair was scored")
+
+    monkeypatch.setattr(multi, "exact_d_profile_logprob", scored)
+    # 108 partitions of 20 into at most 4 parts times 1 771 compositions;
+    # at 200 the compositions alone pass the limit.
+    for resolution in (20, 200):
+        with pytest.raises(OracleSizeError):
+            brute_force_pml_d(dp, support_cap=4, resolution=resolution)
 
 
 @pytest.mark.parametrize(

@@ -169,3 +169,16 @@ def test_zipf_pair_n100_certifies_at_default_delta():
 def test_heavy_symbol_with_three_singletons_certifies():
     _, diag = approximate_pml(profile_of_sequence("a" * 200 + "bcd"))
     assert diag.certified
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="solver._descend stalls at eps1 = 1: this Zipf sample ends uncertified, "
+    "gap 5.25e6, after 2 Newton steps; at eps = 0.5 it certifies",
+)
+def test_zipf_n300_certifies_at_eps_one():
+    # n = 300 draws from Zipf(1) over k = 150 symbols: 19 levels and 9
+    # observed frequencies at eps1 = eps2 = 1.
+    sample = np.random.default_rng(0).choice(150, size=300, p=zipf(150))
+    _, diag = approximate_pml(profile_of_sequence(sample.tolist()), eps1=1.0, eps2=1.0)
+    assert diag.certified
