@@ -42,6 +42,10 @@ def logsumexp(a, axis: int | None = None):
     array otherwise.
     """
     a = np.asarray(a, dtype=float)
+    if axis is None and a.size:  # a finite max needs no masking: the common case, fast
+        top = float(a.max())
+        if math.isfinite(top):
+            return float(np.log(clipped_exp(a - top).sum()) + top)
     top = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
     shift = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):

@@ -11,17 +11,22 @@ those row constraints at temperature t gives the convex function
 over the observed columns, with ``kappa_i`` the row's largest level. lam is
 eliminated by its own convex solve of at most three variables (in closed form
 for one budget); mu takes Levenberg-Marquardt-damped Newton steps on the
-reduced function, and t falls tenfold per stage from 0.1 n'.
+reduced function, and t falls tenfold per stage from 0.1 n'. Each stage
+starts its damping where the previous stage's first step was accepted, not
+at zero: the stages are nearby problems, and a damping restarted at zero
+climbs the same tenfold ladder again, up to 19 rejected trials before the
+stage's first step (see :func:`_descend`).
 
 Both Newton solves are value first: a trial point gets only its value, and
 the gradient and Hessian are built from the state of a point once it is
-accepted (most trials are rejected). Every exponential on that path is
-clipped from below at ``EXP_FLOOR`` = -700 (:func:`clipped_exp`), which keeps
-numpy's ``exp`` off its slow underflow path: the row terms span thousands of
-log units, and without the clip most value calls underflow. A clipped term
-is only ever raised, never lowered. The mu Hessian drops rows with
-``a_i <= 1e-150`` and entries of ``P`` below 1e-150, which keeps its matrix
-product off subnormal numbers; see :class:`_ReducedDual`.
+accepted (most trials are rejected). A value call takes one ``exp`` over the
+level-by-column table, and the derivatives reuse it. Every exponential on
+that path is clipped from below at ``EXP_FLOOR`` = -700 (:func:`clipped_exp`),
+which keeps numpy's ``exp`` off its slow underflow path: the row terms span
+thousands of log units, and without the clip most value calls underflow. A
+clipped term is only ever raised, never lowered. The mu Hessian drops rows
+with ``a_i <= 1e-150`` and entries of ``P`` below 1e-150, which keeps its
+matrix product off subnormal numbers; see :class:`_ReducedDual`.
 
 Each stage proposes one primal point, its smoothed primal
 ``X_ij = a_i softmax_j(C_ij - mu_j)`` (with the unseen column's logit 0) made
@@ -158,17 +163,21 @@ def initial_point(spec: AssignmentSpec) -> np.ndarray:
     return X
 
 
-def _log1p_sum_exp(Z: np.ndarray) -> np.ndarray:
-    """``log(1 + sum_j exp(Z_ij))`` per row, shifted by ``max(0, max_j Z_ij)``.
+def _log1p_sum_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``log(1 + sum_j exp(Z_ij))`` per row, with the exponentials it is built from.
 
-    Every shifted exponent is clipped at ``EXP_FLOOR``, so no ``exp``
-    underflows. The clip only raises terms, so the result is never below the
-    exact value, and it exceeds it by at most ``(J + 1) e^-700`` relative (the
-    largest shifted term is one), which is lost in roundoff.
+    Returns ``W``, ``E = exp(Z - top)`` and ``terms = exp(-top) + sum_j E_ij``,
+    shifted by ``top = max(0, max_j Z_ij)``, so that ``W = top + log(terms)``
+    and ``exp(Z - W) = E / terms``. Every shifted exponent is clipped at
+    ``EXP_FLOOR``, so no ``exp`` underflows. The clip only raises terms, so
+    ``W`` is never below the exact value, and it exceeds it by at most
+    ``(J + 1) e^-700`` relative (the largest shifted term is one), which is
+    lost in roundoff.
     """
     top = Z.max(axis=1, initial=0.0)
-    terms = clipped_exp(-top) + clipped_exp(Z - top[:, None]).sum(axis=1)
-    return top + np.log(terms)
+    E = clipped_exp(Z - top[:, None])
+    terms = clipped_exp(-top) + E.sum(axis=1)
+    return top + np.log(terms), E, terms
 
 
 def _row_terms(spec: AssignmentSpec, mu: np.ndarray) -> np.ndarray:
@@ -180,7 +189,7 @@ def _row_terms(spec: AssignmentSpec, mu: np.ndarray) -> np.ndarray:
     upper bound.
     """
     finite = np.isfinite(mu)
-    return _log1p_sum_exp(spec.lin_coeff[:, 1:][:, finite] - mu[finite])
+    return _log1p_sum_exp(spec.lin_coeff[:, 1:][:, finite] - mu[finite])[0]
 
 
 def _repaired_dual_value(
@@ -189,10 +198,16 @@ def _repaired_dual_value(
     """Rescale lam so the tightest row constraint just holds; the dual value and that lam.
 
     Scaling lam by ``max_i W_i / (lam . level_i)`` keeps every row feasible,
-    so the value is an upper bound for any mu and any lam >= 0.
+    so the value is an upper bound for any mu and any lam >= 0. An infinite
+    mu switches its column off, which is sound only for a column of count
+    zero. Raises ``RuntimeError`` rather than return a value that may not be
+    a bound: on a NaN in mu or an infinite mu on an observed column, and when
+    the repaired lam still violates a row (as it does for lam = inf).
     """
     counts = spec.col_counts.astype(float)
     finite = np.isfinite(mu)
+    if np.any(np.isnan(mu) | (~finite & (counts > 0))):
+        raise RuntimeError("a dual multiplier of an observed column is not finite")
     W = _row_terms(spec, mu)
     scale = float(np.max(W / np.maximum(lam @ spec.levels.T, 1e-300)))
     if not np.isfinite(scale) or np.all(lam == 0):
@@ -200,12 +215,13 @@ def _repaired_dual_value(
     else:
         lam = lam * scale
     lam = lam * (1 + 1e-12) + 1e-15
-    assert np.all(W <= lam @ spec.levels.T + 1e-9)
+    if not np.all(W <= lam @ spec.levels.T + 1e-9):
+        raise RuntimeError("the repaired dual multipliers violate a row constraint")
     return float(counts @ np.where(finite, mu, 0.0) + lam.sum()), lam
 
 
 def _descend(value, derivatives, x: np.ndarray, max_steps: int,
-             lower: float | None = None, rtol: float = 1e-13):
+             lower: float | None = None, rtol: float = 1e-13, tau: float = 0.0):
     """Minimize a smooth convex function by Levenberg-Marquardt-damped Newton steps.
 
     Value first: ``value(x)`` returns ``(f(x), state)`` and is all a trial
@@ -213,14 +229,34 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
     and runs only at the start and at each accepted point, so a descent that
     takes k steps builds k + 1 Hessians however many trials it rejects. With
     a ``lower`` bound, steps are projected onto it and bound coordinates whose
-    gradient points outward are decoupled from the rest. Stops when the
-    predicted decrease over the free coordinates falls to ``rtol`` times the
-    value, when no damping gives sufficient decrease, or after ``max_steps``;
-    returns the point, the state its derivatives returned, and the steps taken.
+    gradient points outward are decoupled from the rest.
+
+    The damping is ``tau`` times the largest Hessian diagonal entry. It starts
+    at ``tau``, rises tenfold per rejected trial and falls a hundredfold per
+    accepted step. A caller that solves a sequence of related problems passes
+    the first accepted ``tau`` of one as the start of the next, so it does not
+    climb the same ladder again. If ``tau`` reaches 1e8 with no accepted
+    trial, the step restarts once from zero with the scale raised to the
+    largest gradient entry: a Hessian that has collapsed (largest diagonal
+    entry 1e-11 against a gradient of order one) otherwise proposes steps of
+    hundreds of units at every damping.
+
+    A trial is accepted on sufficient decrease (Armijo, 1e-4 of the predicted
+    decrease). A trial whose predicted decrease is below 1e-14 of the value
+    is accepted unless it raises the value by more than that: the value's
+    roundoff then hides the decrease, and the lam solve, which asks for
+    ``rtol`` = 1e-20, otherwise stalled with budget residuals near 1e-9 that
+    the mu gradient reads.
+
+    Stops when the predicted decrease over the free coordinates falls to
+    ``rtol`` times the value, when no damping gives sufficient decrease, or
+    after ``max_steps``. Returns the point, the state its derivatives
+    returned, the steps taken, and the ``tau`` of the first accepted step
+    (the starting ``tau`` if none was accepted).
     """
     f, state = value(x)
     grad, H, state = derivatives(x, state)
-    tau, steps, eye = 0.0, 0, np.eye(x.size)
+    steps, eye, first_tau = 0, np.eye(x.size), tau
     while steps < max_steps:
         if lower is None:
             free = slice(None)  # every coordinate is free
@@ -228,8 +264,13 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
             free = (x > lower) | (grad < 0)
             H = np.where(np.outer(free, free) | (eye > 0), H, 0.0)
         scale = float(np.abs(np.diag(H)).max(initial=0.0)) + 1e-300
-        trial = None
-        while tau < 1e8:
+        trial, restarted = None, False
+        while True:
+            if tau >= 1e8:
+                if restarted:
+                    break
+                tau, restarted = 0.0, True
+                scale = max(scale, float(np.abs(grad).max(initial=0.0)))
             try:
                 step = -np.linalg.solve(H + (tau + 1e-14) * scale * eye, grad)
             except np.linalg.LinAlgError:
@@ -240,57 +281,65 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
             new_x = x + step if lower is None else np.maximum(x + step, lower)
             decrease = -float(grad @ (new_x - x))
             trial = value(new_x) if decrease > 0 else None
-            if trial is not None and trial[0] <= f - 1e-4 * decrease:
+            if trial is not None and (trial[0] <= f - 1e-4 * decrease or (
+                    decrease <= 1e-14 * abs(f) and trial[0] <= f + 1e-14 * abs(f))):
                 break
             trial = None
             tau = max(10.0 * tau, 1e-12)
         if trial is None:
             break
+        if steps == 0:
+            first_tau = tau
         x, (f, state) = new_x, trial
         grad, H, state = derivatives(x, state)
         steps += 1
         tau = tau / 100.0 if tau > 1e-10 else 0.0
-    return x, state, steps
+    return x, state, steps, first_tau
 
 
 def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, t: float,
-                        lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lam >= 0 minimizing ``sum lam + t sum_i exp(s_i)``, and the exponents s.
+                        lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """lam >= 0 minimizing ``sum lam + t sum_i exp(s_i)``, the exponents s, and ``sum_i exp(s_i)``.
 
     ``s_i = (W_i - lam . level_i) / (kappa_i t)``. One budget has the closed
-    form ``lam = t logsumexp(W / (level t))``. Several take damped Newton steps
-    from ``lam`` rescaled so that the largest s_i is zero.
+    form ``lam = t logsumexp(W / (level t))``, where ``s`` is ``W / (level t)``
+    minus that logsumexp, so ``sum_i exp(s_i)`` is one and needs no second
+    ``exp``. Several take damped Newton steps from ``lam`` rescaled so that
+    the largest s_i is zero.
     """
     if levels.shape[1] == 1:
         x = W / (levels[:, 0] * t)
         lse = logsumexp(x)
-        return np.array([t * lse]), x - lse
+        return np.array([t * lse]), x - lse, 1.0
     share = levels / kappa[:, None]
 
     def value(lam):
         s = (W - levels @ lam) / (kappa * t)
-        return lam.sum() + t * clipped_exp(s).sum(), s
-
-    def derivatives(lam, s):
         e = clipped_exp(s)
-        return 1.0 - share.T @ e, (share.T * (e / t)) @ share, s
+        return lam.sum() + t * e.sum(), (s, e)
+
+    def derivatives(lam, state):
+        e = state[1]
+        return 1.0 - share.T @ e, (share.T * (e / t)) @ share, state
 
     lam = lam * np.max(W / (levels @ lam))
     # The mu gradient reads the budget residuals, so lam is solved to roundoff.
-    lam, s, _ = _descend(value, derivatives, lam, 100, lower=0.0, rtol=1e-20)
-    return lam, s
+    lam, (s, e), *_ = _descend(value, derivatives, lam, 100, lower=0.0, rtol=1e-20)
+    return lam, s, float(e.sum())
 
 
 class _ReducedDual:
     """F_t with lam eliminated, over the observed columns, split value first.
 
     :meth:`value` is what a Newton trial needs: ``Z = C - mu``, the row terms
-    ``W``, the budget multipliers ``lam`` and the exponents ``s``, and ``F_t``.
-    :meth:`derivatives` turns an accepted point's state into the gradient
-    ``c - P^T a`` and the Schur-complement Hessian
-    ``diag(P^T a) + P^T diag(q - a) P - K (L^T diag(q) L)^+ K^T``, with
-    ``P = exp(Z - W)``, ``a = exp(s) / kappa``, ``q = a / (kappa t)``,
-    ``K = P^T diag(q) L`` and ``L`` the levels of the budgets with lam > 0.
+    ``W`` with the shifted exponentials ``E`` and row sums ``terms`` they are
+    built from (:func:`_log1p_sum_exp`), the budget multipliers ``lam`` and the
+    exponents ``s``, and ``F_t``. :meth:`derivatives` turns an accepted
+    point's state into the gradient ``c - P^T a`` and the Schur-complement
+    Hessian ``diag(P^T a) + P^T diag(q - a) P - K (L^T diag(q) L)^+ K^T``, with
+    ``P = exp(Z - W) = E / terms`` (no second ``exp``), ``a = exp(s) / kappa``,
+    ``q = a / (kappa t)``, ``K = P^T diag(q) L`` and ``L`` the levels of the
+    budgets with lam > 0.
 
     The derivatives drop rows with ``a_i <= FLOOR`` and zero the entries of
     ``P`` below it (``FLOOR`` = 1e-150). A dropped term is FLOOR times at
@@ -328,21 +377,21 @@ class _ReducedDual:
         self.lam = np.ones(spec.dim)  # warm start of the next lam solve
 
     def value(self, mu: np.ndarray):
-        """``F_t(mu)`` and the state ``(Z, W, lam, s)`` it computed."""
+        """``F_t(mu)`` and the state ``(Z, W, E, terms, lam, s)`` it computed."""
         Z = self.C - mu
-        W = _log1p_sum_exp(Z)
-        self.lam, s = _budget_multipliers(W, self.levels, self.kappa, self.t, self.lam)
-        value = float(self.c @ mu + self.lam.sum() + self.t * clipped_exp(s).sum())
-        return value, (Z, W, self.lam, s)
+        W, E, terms = _log1p_sum_exp(Z)
+        self.lam, s, penalty = _budget_multipliers(W, self.levels, self.kappa, self.t, self.lam)
+        value = float(self.c @ mu + self.lam.sum() + self.t * penalty)
+        return value, (Z, W, E, terms, self.lam, s)
 
     def derivatives(self, mu: np.ndarray, state):
         """Gradient and Hessian at ``mu`` from its value state, and the state
         ``(lam, a, W, rows, P)`` of the smoothed primal ``X = a_i P_ij`` (zero
         off ``rows``)."""
-        Z, W, lam, s = state
+        _, W, E, terms, lam, s = state
         a = clipped_exp(s) / self.kappa
         rows = a > self.FLOOR
-        P = clipped_exp(Z[rows] - W[rows, None])
+        P = E[rows] / terms[rows, None]
         P[P < self.FLOOR] = 0.0
         kappa, used = self.kappa[rows], a[rows]
         q = used / (kappa * self.t)
@@ -378,11 +427,11 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
     # Start each column on the row the boundary start placed most of it in.
     mu = dual.C[np.argmax(best[:, 1:][:, active], axis=0), np.arange(dual.c.size)] - np.log(dual.c)
     mu_full = np.full(spec.num_cols - 1, np.inf)
-    bound, steps = np.inf, 0
+    bound, steps, tau = np.inf, 0, 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_STAGES):
-            mu, (lam_t, a, W, rows, P), taken = _descend(
-                dual.value, dual.derivatives, mu, config.max_iters - steps)
+            mu, (lam_t, a, W, rows, P), taken, tau = _descend(
+                dual.value, dual.derivatives, mu, config.max_iters - steps, tau=tau)
             steps += taken
             mu_full[active] = mu
             bound = min(bound, _repaired_dual_value(spec, mu_full, lam_t)[0])

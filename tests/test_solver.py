@@ -135,6 +135,16 @@ def test_repaired_dual_value_bounds_a_feasible_point():
     assert np.all(lam >= 0)
 
 
+@pytest.mark.parametrize("mu, lam", [(np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf)])
+def test_repaired_dual_value_raises_instead_of_returning_a_non_bound(mu, lam):
+    # One observed column, optimum log 2. Dropping a NaN or infinite mu of an
+    # observed column would return 1e-15, and lam = inf makes the repaired
+    # lam NaN; either is no bound, and the check must survive python -O.
+    spec = AssignmentSpec(levels=[0.5, 1.0], freqs=[0, 1], col_counts=[1])
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
+        _repaired_dual_value(spec, np.array([mu]), np.array([lam]))
+
+
 def test_solve_certifies_joint_aa_pair():
     # The joint profile of ("aa", "aa") at eps = 1: d = 2, a 16 x 9 grid and a
     # single observed column. The optimum below is the dual optimum computed
@@ -196,7 +206,7 @@ def test_solver_config_validation():
 def dense_derivatives(dual, state):
     """Gradient and Hessian of the reduced smoothed dual from the textbook
     formula over every row, with nothing dropped or clipped."""
-    Z, W, lam, s = state
+    Z, W, _, _, lam, s = state
     P = np.exp(Z - W[:, None])
     a = np.exp(s) / dual.kappa
     q = a / (dual.kappa * dual.t)
@@ -267,6 +277,45 @@ def test_hessians_only_at_accepted_points(monkeypatch):
     assert steps == result.iterations
     assert sum(r["derivatives"] for r in records) == steps + len(records)
     assert sum(r["values"] for r in records) <= 176
+
+
+def test_stages_start_from_the_damping_of_the_last(monkeypatch):
+    # The Zipf(1) n = 1000 profile of test_hessians_only_at_accepted_points.
+    # Each stage starts its damping where the previous stage's first step was
+    # accepted. Restarting it at zero rejected 13, 15, 15 and 11 trials before
+    # the first step of stages 2 to 5 (a tenfold rise per rejection, up to
+    # the 1e0 to 1e6 the previous stage needed), 176 value calls in all.
+    p = 1.0 / np.arange(1, 501)
+    sample = np.random.default_rng(0).choice(500, size=1000, p=p / p.sum())
+    spec = default_grid_spec([[str(x) for x in sample]])
+    events = []
+    descend, value, derivatives = solver_module._descend, _ReducedDual.value, _ReducedDual.derivatives
+
+    def marked_descend(value, derivatives, x, *args, **kwargs):
+        if isinstance(getattr(value, "__self__", None), _ReducedDual):
+            events.append("|")  # a mu descent, not a lam solve
+        return descend(value, derivatives, x, *args, **kwargs)
+
+    def logged_value(dual, mu):
+        events.append("v")
+        return value(dual, mu)
+
+    def logged_derivatives(dual, mu, state):
+        events.append("d")
+        return derivatives(dual, mu, state)
+
+    monkeypatch.setattr(solver_module, "_descend", marked_descend)
+    monkeypatch.setattr(_ReducedDual, "value", logged_value)
+    monkeypatch.setattr(_ReducedDual, "derivatives", logged_derivatives)
+    assert solve(spec).certified
+    assert events.count("v") <= 140
+    stages = "".join(events).split("|")[1:]
+    assert len(stages) >= 2
+    for stage in stages[1:]:
+        # "vd" at the start, then the trials up to the first accepted one.
+        start, trials, *rest = stage.split("d")
+        assert start == "v" and rest  # a step was accepted
+        assert len(trials) - 1 <= 5
 
 
 def test_value_and_row_terms_never_underflow(monkeypatch):
