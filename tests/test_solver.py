@@ -318,6 +318,41 @@ def test_stages_start_from_the_damping_of_the_last(monkeypatch):
         assert len(trials) - 1 <= 5
 
 
+def zipf_sequences(d, n):
+    """d sequences of n draws from Zipf(1) over k = n/2 symbols, coordinate s
+    rotated by s places, all from default_rng(0)."""
+    p = 1.0 / np.arange(1, n // 2 + 1)
+    rng = np.random.default_rng(0)
+    return [rng.choice(n // 2, size=n, p=np.roll(p / p.sum(), s)).tolist() for s in range(d)]
+
+
+@pytest.mark.parametrize(
+    "d, n, kind, most",
+    [(2, 100, "lam", 3500), (1, 3000, "mu", 220)],
+)
+def test_damping_keeps_a_tenth_after_a_raised_step(monkeypatch, d, n, kind, most):
+    # A step that needed its damping raised keeps a tenth of it. Dividing it
+    # by a hundred after every step mostly rejected the next two trials
+    # (tau / 100 and tau / 10) before accepting at tau again: the joint
+    # d = 2, n = 100 draw then made 4 625 lam value calls (2 783 now), and
+    # Zipf n = 3000 242 mu value calls (193 now).
+    calls = {"mu": 0, "lam": 0}
+    descend = solver_module._descend
+
+    def counting(value, derivatives, x, *args, **kwargs):
+        mu = isinstance(getattr(value, "__self__", None), _ReducedDual)
+
+        def counted(y):
+            calls["mu" if mu else "lam"] += 1
+            return value(y)
+
+        return descend(counted, derivatives, x, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_descend", counting)
+    assert solve(default_grid_spec(zipf_sequences(d, n))).certified
+    assert calls[kind] <= most
+
+
 def test_value_and_row_terms_never_underflow(monkeypatch):
     # The Zipf(1) n = 3000 profile (k = 1500, default_rng(0)): its row terms
     # span thousands of log units, and numpy's exp is many times slower on
