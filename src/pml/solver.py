@@ -34,7 +34,9 @@ matrix product off subnormal numbers; see :class:`_ReducedDual`.
 Each stage proposes one primal point, its smoothed primal
 ``X_ij = a_i softmax_j(C_ij - mu_j)`` (with the unseen column's logit 0) made
 feasible by :func:`_feasible`; the boundary start :func:`initial_point` is
-the first candidate, for feasible sets with no interior. The certified gap
+the first candidate, for feasible sets with no interior. Both make a point
+feasible by the least blend toward one that fits the budget, in closed form
+(:func:`_toward_budget`). The certified gap
 is the dual value, repaired to feasibility against the row terms, minus the
 exact relaxed score of the best feasible candidate. The clip can only
 overstate a row term, so lam repaired against it is feasible for the exact
@@ -104,29 +106,40 @@ def default_delta(spec: AssignmentSpec) -> float:
     return 1e-6 * scale
 
 
+def _toward_budget(X: np.ndarray, Y: np.ndarray, spec: AssignmentSpec) -> np.ndarray:
+    """``(1 - theta) X + theta Y`` with the least theta in [0, 1] that fits the budget.
+
+    Budget use is linear in the assignment, so theta is the largest
+    ``(use_X - 1) / (use_X - use_Y)`` over the coordinates X overshoots; a
+    coordinate where Y is no cheaper than X takes theta = 1. The blend fits
+    whenever Y does.
+    """
+    use_x, use_y = spec.budget_use(X), spec.budget_use(Y)
+    over = use_x > 1.0
+    drop = (use_x - use_y)[over]
+    theta = np.divide(use_x[over] - 1.0, drop, out=np.ones_like(drop), where=drop > 0)
+    theta = min(max(float(theta.max(initial=0.0)), 0.0), 1.0)
+    return X + theta * (Y - X)  # exactly X where Y is
+
+
 def _feasible(X: np.ndarray, spec: AssignmentSpec) -> np.ndarray | None:
-    """X with observed columns rescaled to their counts and unseen mass cut to
-    the budget, dearest levels first; None if X is still infeasible."""
+    """X with observed columns rescaled to their counts and the unseen column
+    scaled by one factor onto the budget; None if X is still infeasible, as
+    when the observed columns alone overshoot it."""
     scale = np.where(spec.col_counts > 0, spec.col_counts / X[:, 1:].sum(axis=0), 0.0)
     X[:, 1:] *= np.where(np.isfinite(scale), scale, 1.0)  # an empty column stays off
-    over = spec.budget_use(X) - 1.0
-    for i in np.argsort(-spec.levels.max(axis=1)):
-        if np.all(over <= 0):
-            break
-        rate = spec.levels[i]
-        cut = min(X[i, 0], float(np.max(over / rate)))
-        if cut > 0:
-            X[i, 0] -= cut
-            over -= cut * rate
+    seen_only = X.copy()
+    seen_only[:, 0] = 0.0
+    X = _toward_budget(X, seen_only, spec)
     return X if is_feasible(X, spec, tol=1e-9) else None
 
 
 def initial_point(spec: AssignmentSpec) -> np.ndarray:
     """Feasible start: each column at the level nearest its empirical rate.
 
-    Columns sit on the row whose log-level is closest to log(freq / n');
-    if that overshoots the budget, mass moves to the cheapest level, splitting
-    one cell so the binding budget is met exactly.
+    Columns sit on the row whose log-level is closest to log(freq / n'); if
+    that overshoots the budget, it is blended toward every observed column on
+    the cheapest level just until the binding budget is met exactly.
     """
     if spec.row_counts is not None:
         raise ValueError("initial points are for the budget (fractional) variant")
@@ -143,27 +156,11 @@ def initial_point(spec: AssignmentSpec) -> np.ndarray:
         i = int(np.argmin(((log_levels[:, seen] - target) ** 2).sum(axis=1)))
         X[i, j] = float(count)
 
-    cheapest = int(np.argmin(spec.levels.sum(axis=1)))
-    if np.any(spec.col_counts.sum() * spec.levels[cheapest] > 1 + 1e-12):
+    cheapest = np.zeros((R, J))
+    cheapest[np.argmin(spec.levels.sum(axis=1)), 1:] = spec.col_counts
+    if np.any(spec.budget_use(cheapest) > 1 + 1e-12):
         raise InfeasibleError("observed counts cannot fit the unit budget at any level")
-
-    for _ in range(R * J * 64):
-        use = spec.budget_use(X)
-        worst = int(np.argmax(use))
-        if use[worst] <= 1 + 1e-15:
-            break
-        gain = spec.levels[:, worst] - spec.levels[cheapest, worst]
-        candidates = np.argwhere((X[:, 1:] > 0) & (gain[:, None] > 0))
-        if candidates.size == 0:
-            raise InfeasibleError("cannot rebalance the start onto the budget")
-        i, j = max(candidates, key=lambda ij: spec.levels[ij[0], worst])
-        j += 1
-        amount = min(X[i, j], (use[worst] - 1.0) / gain[i])
-        X[i, j] -= amount
-        X[cheapest, j] += amount
-    else:
-        raise InfeasibleError("budget rebalancing did not converge")
-    return X
+    return _toward_budget(X, cheapest, spec)
 
 
 def _log1p_sum_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

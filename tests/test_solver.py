@@ -18,7 +18,7 @@ from pml import (
     solve,
 )
 from pml import solver as solver_module
-from pml.solver import _ReducedDual, _repaired_dual_value
+from pml.solver import _ReducedDual, _feasible, _repaired_dual_value
 from conftest import default_grid_spec, random_fractional_point, tiny_solver_specs
 
 
@@ -73,6 +73,20 @@ def test_initial_point_infeasible():
     spec = AssignmentSpec(levels=[0.5, 1.0], freqs=[0, 1], col_counts=[5])
     with pytest.raises(InfeasibleError):
         initial_point(spec)
+
+
+def test_feasible_scales_the_unseen_column_onto_the_budget():
+    spec = AssignmentSpec(levels=[0.125, 0.5, 1.0], freqs=[0, 1], col_counts=[1])
+    X = np.array([[2.0, 0.0], [1.0, 0.5], [0.25, 0.5]])  # budget use 1.75
+    Y = _feasible(X.copy(), spec)
+    assert is_feasible(Y, spec)
+    assert spec.budget_use(Y)[0] == 1.0
+    assert np.array_equal(Y[:, 1], X[:, 1])
+    assert np.array_equal(Y[:, 0], 0.25 * X[:, 0])  # one factor for every row
+
+    # Count 2 on the level-1 row overshoots whatever the unseen column holds.
+    crowded = AssignmentSpec(levels=[0.125, 0.5, 1.0], freqs=[0, 1], col_counts=[2])
+    assert _feasible(np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 1.0]]), crowded) is None
 
 
 def test_solve_certifies_and_dominates_integral_max():
@@ -324,6 +338,20 @@ def zipf_sequences(d, n):
     p = 1.0 / np.arange(1, n // 2 + 1)
     rng = np.random.default_rng(0)
     return [rng.choice(n // 2, size=n, p=np.roll(p / p.sum(), s)).tolist() for s in range(d)]
+
+
+@pytest.mark.parametrize("n, eps", [(300, 1.0), (1000, 1.0), (1000, 0.5)])
+def test_start_keeps_each_column_mostly_on_its_nearest_level(n, eps):
+    # Zipf(1) draws on coarse grids whose nearest-level placement overshoots
+    # the budget. A start that moved most of a column onto the cheapest level
+    # started that column's mu there, and these solves stalled or crawled.
+    spec = default_grid_spec(zipf_sequences(1, n), eps)
+    X = initial_point(spec)
+    rates = spec.freqs[1:, 0] / spec.disc_lengths[0]
+    nearest = np.argmin(np.abs(np.log(spec.levels[:, :1]) - np.log(rates)), axis=0)
+    assert np.array_equal(np.argmax(X[:, 1:], axis=0), nearest)
+    assert is_feasible(X, spec)
+    assert spec.budget_use(X).max() == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize(
