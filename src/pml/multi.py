@@ -21,7 +21,7 @@ import numpy as np
 from . import assignment
 from ._special import log_factorial, logsumexp
 from .estimators import merge_levels
-from .exact import OracleSizeError, grid_partitions
+from .exact import OracleSizeError, _as_prob_vector, grid_partitions
 from .grids import (
     FrequencyGrid,
     ProbabilityGrid,
@@ -251,7 +251,7 @@ def exact_d_profile_logprob(
     d = dprofile.d
     if len(prob_vectors) != d:
         raise ValueError("need one probability vector per coordinate")
-    probs = [np.asarray(p, dtype=float).ravel() for p in prob_vectors]
+    probs = [_as_prob_vector(p) for p in prob_vectors]
     support = probs[0].size
     if any(p.size != support for p in probs):
         raise ValueError("coordinates must share one domain")

@@ -90,6 +90,17 @@ def test_exact_d_point_mass_pair():
     ) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [[[0.9, 0.9], [0.9, 0.9]], [[np.nan, 0.5], [0.5, 0.5]], [[0.5, 0.5], [-0.5, 0.5]]],
+)
+def test_exact_d_refuses_what_is_not_a_distribution(probs):
+    # Mass 1.8 per coordinate gave log-probability +0.965, a NaN gave
+    # -0.693 and a negative entry was accepted; the d = 1 oracle refuses all.
+    with pytest.raises(ValueError):
+        exact_d_profile_logprob([np.array(p) for p in probs], d_profile_of(["ab", "ab"]))
+
+
 def test_exact_d_matches_joint_sequence_enumeration():
     rng = make_rng(23)
     for _ in range(12):

@@ -18,7 +18,7 @@ from pml import (
     solve,
 )
 from pml import solver as solver_module
-from pml.solver import _ReducedDual, _feasible, _repaired_dual_value
+from pml.solver import _ReducedDual, _feasible, _nearest_rows, _repaired_dual_value
 from conftest import default_grid_spec, random_fractional_point, tiny_solver_specs
 
 
@@ -181,6 +181,90 @@ def test_solve_certifies_joint_aa_pair():
     assert abs(result.objective - 0.0044543508) <= delta
 
 
+def every_grid_column_spec(sequences):
+    """The default-grid spec of these samples over every grid column, observed or not."""
+    dprofile = d_profile_of([list(s) for s in sequences])
+    eps = tuple(nk ** (-1.0 / (2 * dprofile.d + 1)) for nk in dprofile.n)
+    grids = build_d_grids(dprofile.n, eps, eps)
+    counts, _ = discretize_d_profile(dprofile, grids)
+    return AssignmentSpec(
+        levels=grids.level_values,
+        freqs=np.vstack([np.zeros((1, dprofile.d)), grids.freq_values]),
+        col_counts=counts,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec in tiny_solver_specs() if np.any(spec.col_counts == 0)]
+    + [every_grid_column_spec(["cbcfhdhbbd", "cddbcbpccb"])],
+)
+def test_solve_ignores_empty_columns_exactly(spec):
+    # Every feasible point is zero on an empty column, so the solve must not
+    # depend on one. Solving with the empty columns differed in the last bits
+    # on the fourth tiny spec and on the d = 2 spec (144 x 81, 6 observed).
+    kept = np.r_[0, 1 + np.flatnonzero(spec.col_counts)]
+    reduced = AssignmentSpec(spec.levels, spec.freqs[kept], spec.col_counts[kept[1:] - 1])
+    full, alone = solve(spec), solve(reduced)
+    assert np.array_equal(full.X[:, kept], alone.X)
+    assert not np.delete(full.X, kept, axis=1).any()
+    assert (full.objective, full.certified_gap, full.iterations) == (
+        alone.objective, alone.certified_gap, alone.iterations)
+
+
+def test_column_seen_in_one_coordinate_starts_on_its_nearest_level(monkeypatch):
+    # d = 2 at the default grids: "f" and "h" are seen in the first sample
+    # only, "p" in the second only. Each such column starts on the first row
+    # whose level in its seen coordinate is nearest its rate there, both in
+    # the start point and in the first mu of the solve.
+    spec = default_grid_spec(["cbcfhdhbbd", "cddbcbpccb"])
+    starts = []
+    descend = solver_module._descend
+
+    def first_mu(value, derivatives, x, *args, **kwargs):
+        if isinstance(getattr(value, "__self__", None), _ReducedDual) and not starts:
+            starts.append(x.copy())
+        return descend(value, derivatives, x, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_descend", first_mu)
+    solve(spec)
+    X = initial_point(spec)
+    seen = spec.freqs[1:] > 0
+    one_coordinate = np.flatnonzero(seen.sum(axis=1) == 1)
+    assert one_coordinate.size == 3
+    for j in one_coordinate:
+        k = int(np.flatnonzero(seen[j])[0])
+        rate = spec.freqs[1 + j, k] / spec.disc_lengths[k]
+        dist = np.abs(np.log(spec.levels[:, k]) - np.log(rate))
+        row = int(np.flatnonzero(dist == dist.min())[0])
+        assert np.argmax(X[:, 1 + j]) == row
+        assert starts[0][j] == spec.lin_coeff[row, 1 + j] - np.log(spec.col_counts[j])
+
+
+@pytest.mark.parametrize(
+    "sequences",
+    [["cbcfhdhbbd", "cddbcbpccb"], ["sgdbochffb", "bbgcedfbbb", "cbfgbbbbbb"]],
+)
+def test_nearest_rows_match_a_loop_over_columns(sequences):
+    # Reference: one column at a time, in the same arithmetic.
+    spec = default_grid_spec(sequences)
+    lengths = np.maximum(spec.disc_lengths, 1.0)
+    expected = []
+    for freqs in spec.freqs[1:]:
+        seen = freqs > 0
+        target = np.log(freqs[seen] / lengths[seen])
+        expected.append(np.argmin(((np.log(spec.levels[:, seen]) - target) ** 2).sum(axis=1)))
+    assert np.array_equal(_nearest_rows(spec), expected)
+
+
+def test_solve_refuses_a_pinned_spec():
+    # Dropping empty columns would silently drop the pinned row counts.
+    pinned = AssignmentSpec(levels=[0.5, 1.0], freqs=[0, 1, 2], col_counts=[1, 0],
+                            row_counts=[1, 0])
+    with pytest.raises(ValueError, match="budget"):
+        solve(pinned)
+
+
 @pytest.mark.parametrize(
     "sequences",
     [["cbcfhdhbbd", "cddbcbpccb"], ["sgdbochffb", "bbgcedfbbb", "cbfgbbbbbb"]],
@@ -213,6 +297,9 @@ def test_default_delta_scales_with_length():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(delta=0.0)
+    for delta in (math.nan, math.inf):  # inf certified any gap, nan none
+        with pytest.raises(ValueError):
+            SolverConfig(delta=delta)
     with pytest.raises(ValueError):
         SolverConfig(delta=1e-6, max_iters=0)
 
