@@ -110,9 +110,10 @@ def rng():
     return make_rng(20240817)
 
 
-def default_grid_spec(sequences, eps=None):
-    """The pipeline's assignment problem for these samples, at the default
-    grids or with every eps1 and eps2 equal to `eps`."""
+def every_grid_column_spec(sequences, eps=None):
+    """The pipeline's assignment problem for these samples over every grid
+    column, observed or not, at the default grids or with every eps1 and
+    eps2 equal to `eps`."""
     dp = d_profile_of([list(s) for s in sequences])
     if eps is None:
         eps = tuple(min(1.0, nk ** (-1.0 / (2 * dp.d + 1))) for nk in dp.n)
@@ -120,9 +121,20 @@ def default_grid_spec(sequences, eps=None):
         eps = (eps,) * dp.d
     grids = build_d_grids(dp.n, eps, eps)
     counts, _ = discretize_d_profile(dp, grids)
-    observed = counts > 0
     return AssignmentSpec(
         levels=grids.level_values,
-        freqs=np.vstack([np.zeros((1, dp.d)), grids.freq_values[observed]]),
-        col_counts=counts[observed],
+        freqs=np.vstack([np.zeros((1, dp.d)), grids.freq_values]),
+        col_counts=counts,
+    )
+
+
+def default_grid_spec(sequences, eps=None):
+    """:func:`every_grid_column_spec` on its observed columns only: the
+    pipeline's assignment problem."""
+    spec = every_grid_column_spec(sequences, eps)
+    observed = spec.col_counts > 0
+    return AssignmentSpec(
+        levels=spec.levels,
+        freqs=spec.freqs[np.r_[True, observed]],
+        col_counts=spec.col_counts[observed],
     )

@@ -7,10 +7,7 @@ from pml import (
     AssignmentSpec,
     InfeasibleError,
     SolverConfig,
-    build_d_grids,
-    d_profile_of,
     default_delta,
-    discretize_d_profile,
     initial_point,
     is_feasible,
     iter_feasible,
@@ -19,7 +16,12 @@ from pml import (
 )
 from pml import solver as solver_module
 from pml.solver import _ReducedDual, _feasible, _nearest_rows, _repaired_dual_value
-from conftest import default_grid_spec, random_fractional_point, tiny_solver_specs
+from conftest import (
+    default_grid_spec,
+    every_grid_column_spec,
+    random_fractional_point,
+    tiny_solver_specs,
+)
 
 
 def watch_mu_solves(monkeypatch):
@@ -164,14 +166,7 @@ def test_solve_certifies_joint_aa_pair():
     # single observed column. The optimum below is the dual optimum computed
     # independently (an LP in lam for each mu, minimized over mu at
     # mu = -5.4116); its active rows are (0.5, 0.5), (1, 0.5) and (1, 1).
-    dprofile = d_profile_of([list("aa"), list("aa")])
-    grids = build_d_grids(dprofile.n, (1.0, 1.0), (1.0, 1.0))
-    counts, _ = discretize_d_profile(dprofile, grids)
-    spec = AssignmentSpec(
-        levels=grids.level_values,
-        freqs=np.vstack([np.zeros((1, 2)), grids.freq_values]),
-        col_counts=counts,
-    )
+    spec = every_grid_column_spec(["aa", "aa"], eps=1.0)
     delta = default_delta(spec)
     result = solve(spec)
     assert is_feasible(result.X, spec, tol=1e-9)
@@ -179,19 +174,6 @@ def test_solve_certifies_joint_aa_pair():
     assert result.certified_gap <= delta
     assert result.iterations < 300
     assert abs(result.objective - 0.0044543508) <= delta
-
-
-def every_grid_column_spec(sequences):
-    """The default-grid spec of these samples over every grid column, observed or not."""
-    dprofile = d_profile_of([list(s) for s in sequences])
-    eps = tuple(nk ** (-1.0 / (2 * dprofile.d + 1)) for nk in dprofile.n)
-    grids = build_d_grids(dprofile.n, eps, eps)
-    counts, _ = discretize_d_profile(dprofile, grids)
-    return AssignmentSpec(
-        levels=grids.level_values,
-        freqs=np.vstack([np.zeros((1, dprofile.d)), grids.freq_values]),
-        col_counts=counts,
-    )
 
 
 @pytest.mark.parametrize(
@@ -272,15 +254,7 @@ def test_solve_refuses_a_pinned_spec():
 def test_solve_certifies_joint_profiles_at_default_eps(sequences):
     # d = 2 and d = 3 at n = 10 on the pipeline's default grids: 144 and 1331
     # levels against 80 and 728 frequency columns, few of them observed.
-    dprofile = d_profile_of([list(s) for s in sequences])
-    eps = tuple(nk ** (-1.0 / (2 * dprofile.d + 1)) for nk in dprofile.n)
-    grids = build_d_grids(dprofile.n, eps, eps)
-    counts, _ = discretize_d_profile(dprofile, grids)
-    spec = AssignmentSpec(
-        levels=grids.level_values,
-        freqs=np.vstack([np.zeros((1, dprofile.d)), grids.freq_values]),
-        col_counts=counts,
-    )
+    spec = every_grid_column_spec(sequences)
     result = solve(spec)
     assert is_feasible(result.X, spec, tol=1e-9)
     assert result.certified
@@ -300,8 +274,11 @@ def test_solver_config_validation():
     for delta in (math.nan, math.inf):  # inf certified any gap, nan none
         with pytest.raises(ValueError):
             SolverConfig(delta=delta)
-    with pytest.raises(ValueError):
-        SolverConfig(delta=1e-6, max_iters=0)
+    for max_iters in (0, math.nan, math.inf, 2.5):  # nan ran 0 steps, 2.5 ran 3
+        with pytest.raises(ValueError):
+            SolverConfig(delta=1e-6, max_iters=max_iters)
+    for max_iters in (300, np.int64(300)):
+        assert SolverConfig(delta=1e-6, max_iters=max_iters).max_iters == 300
 
 
 def dense_derivatives(dual, state):

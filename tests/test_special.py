@@ -12,15 +12,53 @@ from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
 import pml
+from pml import _special
 from pml._special import log_factorial, logsumexp
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this pml; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pml.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout
 
 
 def test_importing_the_cli_loads_no_scipy():
     code = "import sys, pml.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    env = {**os.environ, "PYTHONPATH": str(Path(pml.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code).strip() == "[]"
+
+
+def test_a_small_estimate_builds_a_small_log_factorial_table(tmp_path):
+    # n = 40: no call asks past entry 40, so the table stops at 64 entries,
+    # not 2**16.
+    path = tmp_path / "profile.json"
+    path.write_text('{"pairs": [[6, 1], [5, 2], [3, 2], [2, 7], [1, 4]]}')
+    code = (
+        "import contextlib, io, pml.cli, pml._special\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    pml.cli.main(['estimate', {str(path)!r}], standalone_mode=False)\n"
+        "print(pml._special._table.size)"
+    )
+    size = int(run_python(code))
+    assert 0 < size <= 64
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["small-first", "large-first"])
+def test_log_factorial_is_lgamma_bit_for_bit_in_any_order(monkeypatch, order):
+    # The table grows on demand; each entry must be math.lgamma(k + 1.0)
+    # exactly, whichever arguments built it.
+    monkeypatch.setattr(_special, "_table", np.zeros(0))
+    ks = [0, 63, 64, 65, 1023, 1024, 2**16 - 1, 2**16][::order]
+    top = 0  # the largest tabled argument so far
+    for k in ks:
+        expected = math.lgamma(k + 1.0)
+        assert log_factorial(np.array([k]))[0] == expected
+        assert log_factorial(k) == expected
+        if k < 2**16:
+            top = max(top, k)
+        assert _special._table.size == 2 ** top.bit_length()
+    assert log_factorial(np.array(ks)).tolist() == [math.lgamma(k + 1.0) for k in ks]
 
 
 def test_logsumexp_matches_scipy(rng):
