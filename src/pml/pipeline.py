@@ -30,13 +30,21 @@ __all__ = ["PipelineDiagnostics", "approximate_pml", "approximate_pml_d"]
 class PipelineDiagnostics:
     """Sizes, solver certificates, and the additive slack budget (log units).
 
-    ``slack_total`` is the sum of every stage's worst-case log-space loss
-    relative to the best grid-search distribution:
-    probability-grid flooring, frequency ceiling (applied on both sides of the
-    chain, hence counted twice), restriction to the single best assignment
-    term (log of the feasible-set size), the solver's certified gap, the
-    relaxation error bounds for the unknown optimum and for the rounded
-    assignment, and the rounding count-term bound.
+    ``slack_total`` bounds, in log units, how far the output's profile
+    probability falls below the best grid-search distribution's. It is the
+    sum of ``slack_prob_disc`` (probability-grid flooring), twice
+    ``slack_freq_disc`` (frequency ceiling, on both sides of the chain),
+    ``log_num_assignments`` (keeping one term of the grouped sum), the solver
+    gap (floored at 0), ``slack_relax_upper`` (relaxed against integral score
+    at the unknown optimum), and ``slack_round``.
+
+    ``slack_round = max(0, solver_objective - log_weight_rounded)`` is the
+    rounding loss as measured, and needs no a-priori bound: past the grid
+    terms, the best distribution's log-probability is at most the profile
+    coefficient's plus ``solver_objective`` and the three terms before it,
+    and the output's is at least the coefficient's plus ``log_weight_rounded``,
+    the exact log-weight of the rounded assignment it is read from (one term
+    of its grouped sum).
 
     ``num_freqs`` counts the assignment problem's observed columns: the
     distinct discretized frequency tuples of the profile.
@@ -64,17 +72,13 @@ class PipelineDiagnostics:
     solver_iterations: int
     certified: bool
     log_weight_rounded: float
-    log_weight_relaxed_rounded: float
-    log_weight_relaxed_fractional: float
     mass_before_normalize: tuple[float, ...]
     slack_prob_disc: float
     slack_freq_disc: float
     log_num_assignments: float
     assignment_count_method: str
     slack_relax_upper: float
-    slack_relax_lower_rounded: float
-    slack_round_count: float
-    slack_round_exact: float
+    slack_round: float
     slack_total: float = field(init=False)
 
     def __post_init__(self):
@@ -84,8 +88,7 @@ class PipelineDiagnostics:
             + self.log_num_assignments
             + max(self.solver_gap, 0.0)
             + self.slack_relax_upper
-            + self.slack_relax_lower_rounded
-            + self.slack_round_count
+            + self.slack_round
         )
 
     def to_dict(self) -> dict:
@@ -127,12 +130,6 @@ def _stirling_upper_bound(spec: assignment.AssignmentSpec) -> float:
     """
     caps = spec.row_caps().astype(float)
     return float((1.0 + 0.5 * np.log(caps + 1.0)).sum())
-
-
-def _stirling_lower(X: np.ndarray) -> float:
-    """Per-entry bound on log_weight_relaxed - log_weight at this assignment."""
-    positive = X[X > 0]
-    return float((1.0 + 0.5 * np.log(positive + 1.0)).sum())
 
 
 def approximate_pml(
@@ -199,8 +196,7 @@ def approximate_pml_d(
     mass = np.atleast_1d(pseudo.total_mass)
     dist = normalize(pseudo)
 
-    log_w_round = assignment.log_weight(rounded.X, rounded.spec_ext)
-    log_g_round = assignment.log_weight_relaxed(rounded.X, rounded.spec_ext)
+    log_w_round = float(assignment.log_weight(rounded.X, rounded.spec_ext))
     n_arr = np.array(n, dtype=float)
     log_count, count_method = _log_num_assignments(spec)
     diag = PipelineDiagnostics(
@@ -217,19 +213,13 @@ def approximate_pml_d(
         solver_gap=result.certified_gap,
         solver_iterations=result.iterations,
         certified=result.certified,
-        log_weight_rounded=float(log_w_round),
-        log_weight_relaxed_rounded=float(log_g_round),
-        log_weight_relaxed_fractional=result.objective,
+        log_weight_rounded=log_w_round,
         mass_before_normalize=tuple(float(m) for m in mass),
         slack_prob_disc=float((np.asarray(eps1, dtype=float) * n_arr).sum()),
         slack_freq_disc=_freq_disc_slack(d, n_arr, np.asarray(eps2, dtype=float)),
         log_num_assignments=float(log_count),
         assignment_count_method=count_method,
         slack_relax_upper=_stirling_upper_bound(spec),
-        slack_relax_lower_rounded=_stirling_lower(rounded.X),
-        slack_round_count=float(
-            spec.num_levels * spec.num_cols * math.log(float(np.min(2.0 * n_arr**2)))
-        ),
-        slack_round_exact=max(0.0, result.objective - float(log_g_round)),
+        slack_round=max(0.0, result.objective - log_w_round),
     )
     return dist, diag

@@ -125,13 +125,23 @@ def _toward_budget(X: np.ndarray, Y: np.ndarray, spec: AssignmentSpec) -> np.nda
     return X + theta * (Y - X)  # exactly X where Y is
 
 
+def _cheapest_placement(spec: AssignmentSpec) -> np.ndarray:
+    """Every observed column on the cheapest level, the unseen column empty."""
+    cheapest = np.zeros(spec.shape)
+    cheapest[np.argmin(spec.levels.sum(axis=1)), 1:] = spec.col_counts
+    return cheapest
+
+
 def _feasible(X: np.ndarray, spec: AssignmentSpec) -> np.ndarray | None:
-    """X with observed columns rescaled to their counts and the unseen column
-    scaled by one factor onto the budget; None if X is still infeasible, as
-    when the observed columns alone overshoot it."""
+    """X with observed columns rescaled to their counts and blended toward
+    :func:`_cheapest_placement` just onto the budget if they overshoot it, then
+    the unseen column scaled by one factor onto what is left; None if X is
+    still infeasible."""
     X[:, 1:] *= spec.col_counts / X[:, 1:].sum(axis=0)
     seen_only = X.copy()
     seen_only[:, 0] = 0.0
+    seen_only = _toward_budget(seen_only, _cheapest_placement(spec), spec)
+    X[:, 1:] = seen_only[:, 1:]
     X = _toward_budget(X, seen_only, spec)
     return X if is_feasible(X, spec, tol=1e-9) else None
 
@@ -158,8 +168,7 @@ def initial_point(spec: AssignmentSpec) -> np.ndarray:
         raise ValueError("initial points are for the budget (fractional) variant")
     X = np.zeros(spec.shape)
     X[_nearest_rows(spec), np.arange(1, spec.num_cols)] = spec.col_counts
-    cheapest = np.zeros(spec.shape)
-    cheapest[np.argmin(spec.levels.sum(axis=1)), 1:] = spec.col_counts
+    cheapest = _cheapest_placement(spec)
     if np.any(spec.budget_use(cheapest) > 1 + 1e-12):
         raise InfeasibleError("observed counts cannot fit the unit budget at any level")
     return _toward_budget(X, cheapest, spec)

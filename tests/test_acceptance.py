@@ -19,11 +19,10 @@ from pml import (
     brute_force_pml,
     brute_force_pml_d,
     build_d_grids,
-    build_frequency_grid,
     build_probability_grid,
     d_profile_of,
+    discretize_d_profile,
     discretize_distribution,
-    discretize_profile,
     distance_to_uniformity,
     entropy,
     exact_d_profile_logprob,
@@ -104,10 +103,15 @@ def test_criterion_03_profile_discretization():
         alphabet = int(rng.integers(2, 6))
         p = random_distribution(rng, alphabet, min_prob=min_prob_for(n))
         profile = random_profile(rng, n, alphabet)
-        grid = build_frequency_grid(n, eps2)
-        disc = discretize_profile(profile, grid)
+        # The pipeline's discretization: the d = 1 product grid, observed columns only.
+        grids = build_d_grids((n,), (eps2,), (eps2,))
+        counts, n_disc = discretize_d_profile(DProfile.from_profile(profile), grids)
+        observed = counts > 0
+        disc = Profile(tuple(zip(grids.freq_values[observed, 0].astype(int), counts[observed])))
+        assert (disc.n,) == n_disc
+        assert disc.num_observed == profile.num_observed
         here = profile_logprob(p, profile)
-        there = profile_logprob(p, disc.to_profile(), max_length=16)
+        there = profile_logprob(p, disc, max_length=16)
         bound = 7 * eps2 * n * math.log(n) + 1e-9
         assert abs(here - there) <= bound
         worst = max(worst, abs(here - there) / bound)

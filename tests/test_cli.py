@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pml
 from pml.cli import main
 from pml.grids import GridSizeError
 from pml.multi import build_d_grids
@@ -92,6 +98,34 @@ def test_estimate_output_is_byte_stable(tmp_path, runner):
     first = runner.invoke(main, args).output
     second = runner.invoke(main, args).output
     assert first == second
+
+
+def test_estimate_output_is_byte_stable_at_a_fixed_blas_thread_count(tmp_path):
+    # n = 10 000 draws from Zipf(1) over k = 5 000 symbols (default_rng(0)).
+    # Threaded BLAS products sum in another order, so the 17-digit output
+    # may move in its last bits with the thread count (entropy
+    # 6.2279621617719085 on one thread, 6.2279621618757286 on two), but not
+    # from one run to the next.
+    p = 1.0 / np.arange(1, 5001)
+    sample = np.random.default_rng(0).choice(5000, size=10_000, p=p / p.sum())
+    profile = pml.profile_of_sequence(sample.tolist())
+    path = write(tmp_path, "zipf.json", json.dumps(profile.to_dict()))
+
+    def estimate(threads: int) -> str:
+        env = {**os.environ, "PYTHONPATH": str(Path(pml.__file__).resolve().parents[1]),
+               **{var: str(threads) for var in
+                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+        proc = subprocess.run([sys.executable, "-m", "pml.cli", "estimate", path,
+                               "--property", "entropy"],
+                              capture_output=True, text=True, env=env, check=True, timeout=120)
+        return proc.stdout
+
+    first, second, threaded = estimate(1), estimate(1), estimate(2)
+    assert first == second
+    one, two = json.loads(first), json.loads(threaded)
+    assert one["certified"] and two["certified"]
+    assert float(two["estimates"]["entropy"]) == pytest.approx(
+        float(one["estimates"]["entropy"]), abs=1e-6)
 
 
 def test_estimate_plain_format_and_output_file(tmp_path, runner):

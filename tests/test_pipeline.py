@@ -56,8 +56,7 @@ def test_ababc_passes_bound_with_diagnostics():
         + diag.log_num_assignments
         + max(diag.solver_gap, 0.0)
         + diag.slack_relax_upper
-        + diag.slack_relax_lower_rounded
-        + diag.slack_round_count
+        + diag.slack_round
     )
     assert diag.slack_total == pytest.approx(total)
     assert diag.n == (5,)
@@ -204,3 +203,52 @@ def test_zipf_n300_certifies_at_eps_one():
     sample = np.random.default_rng(0).choice(150, size=300, p=zipf(150))
     _, diag = approximate_pml(profile_of_sequence(sample.tolist()), eps1=1.0, eps2=1.0)
     assert diag.certified
+
+
+@pytest.mark.parametrize("eps", [None, 1.0, 0.5, 0.25])
+@pytest.mark.parametrize("n", [30, 100, 300, 1000, 3000])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_few_symbols_certify(k, n, eps):
+    # k symbols with frequencies in proportion 1 : 2 : ... : k, the largest
+    # taking what the floors leave, e.g. [[67, 1], [33, 1]] at k = 2, n = 100.
+    # The observed columns of every stage's smoothed primal overshot the
+    # budget on their own, so no stage gave a feasible point and only the
+    # start was scored: 10 of these 80 ended uncertified, [[67, 1], [33, 1]]
+    # at gap 1.25 against delta 4.6e-4.
+    freqs = [n * i // (k * (k + 1) // 2) for i in range(1, k)]
+    profile = Profile(tuple((f, 1) for f in freqs + [n - sum(freqs)]))
+    kwargs = {} if eps is None else {"eps1": eps, "eps2": eps}
+    _, diag = approximate_pml(profile, **kwargs)
+    assert diag.certified
+
+
+@pytest.mark.parametrize(
+    "sequences, eps",
+    [
+        (["ababc"], 1.0),
+        (["a" * 200 + "bcd"], None),
+        (["a" * 67 + "b" * 33], None),
+        ([np.random.default_rng(0).choice(500, size=1000, p=zipf(500)).tolist()], None),
+        ([np.random.default_rng(0).choice(50, size=100, p=zipf(50, s)).tolist() for s in range(2)],
+         None),
+    ],
+    ids=["ababc", "heavy", "two-symbols", "zipf-1000", "zipf-pair-100"],
+)
+def test_measured_rounding_loss_is_within_the_a_priori_bounds(sequences, eps):
+    # slack_round replaced two a-priori bounds on the same loss: rounding
+    # costs the relaxed score at most R J log(2 n^2), and at the rounded
+    # point the integral score is below the relaxed one by at most
+    # sum over positive entries of 1 + log(X_ij + 1) / 2.
+    from conftest import default_grid_spec
+    from pml import SolverConfig, round_assignment, solve
+
+    dprofile = d_profile_of(sequences)
+    kwargs = {} if eps is None else {"eps1": (eps,) * dprofile.d, "eps2": (eps,) * dprofile.d}
+    _, diag = approximate_pml_d(dprofile, **kwargs)
+    spec = default_grid_spec(sequences, eps)
+    result = solve(spec, SolverConfig(delta=diag.delta))
+    assert result.objective == diag.solver_objective
+    X = round_assignment(result.X, spec).X
+    count_term = spec.num_levels * spec.num_cols * math.log(2.0 * min(dprofile.n) ** 2)
+    stirling_term = float((1.0 + 0.5 * np.log(X[X > 0] + 1.0)).sum())
+    assert 0.0 <= diag.slack_round <= count_term + stirling_term

@@ -86,9 +86,14 @@ def test_feasible_scales_the_unseen_column_onto_the_budget():
     assert np.array_equal(Y[:, 1], X[:, 1])
     assert np.array_equal(Y[:, 0], 0.25 * X[:, 0])  # one factor for every row
 
-    # Count 2 on the level-1 row overshoots whatever the unseen column holds.
+    # Count 2 on the level-1 row overshoots whatever the unseen column holds,
+    # so the observed column is blended toward the cheapest level first, and
+    # then no budget is left for the unseen column.
     crowded = AssignmentSpec(levels=[0.125, 0.5, 1.0], freqs=[0, 1], col_counts=[2])
-    assert _feasible(np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 1.0]]), crowded) is None
+    Z = _feasible(np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 1.0]]), crowded)
+    assert Z is not None and is_feasible(Z, crowded)
+    assert Z[:, 1].sum() == pytest.approx(2.0)
+    assert np.array_equal(Z[:, 0], np.zeros(3))
 
 
 def test_solve_certifies_and_dominates_integral_max():
