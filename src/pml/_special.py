@@ -9,7 +9,13 @@ only ones it needs. Keeping them here means importing ``pml``, and so every
 two above its largest such entry, so a process builds only as far as its
 calls reach. Every ``pml`` call is a fresh process, and building all 65 536
 entries takes about 20 ms, more than a small profile's whole solve, which
-asks for nothing past entry 40.
+asks for nothing past entry 40. The table is one float array, filled by
+``np.fromiter`` with no Python list in between: a list of 65 280 floats
+cost 2 MB of objects for a 0.5 MB table, and growing it to 2**16 entries
+peaked at 3.2 MB under ``tracemalloc``, against 1.05 MB now (the old table
+and the new one). A lookup of an array holds one array of its shape, the
+result, which the rounded argument is overwritten with; its int64 indices
+are made 16 384 at a time.
 
 ``clipped_exp`` raises every exponent to at least ``EXP_FLOOR`` = -700, where
 ``exp`` is still a normal double. numpy's ``exp`` (2.4, x86-64) is 4 to 40
@@ -28,6 +34,7 @@ import numpy as np
 __all__ = ["EXP_FLOOR", "clipped_exp", "logsumexp", "log_factorial"]
 
 _TABLE_SIZE = 1 << 16
+_BLOCK = 1 << 14  # entries looked up per int64 index array (128 kB)
 EXP_FLOOR = -700.0  # exp(-708.4) is the smallest normal double
 
 
@@ -75,7 +82,11 @@ def _log_factorial_table(top: int) -> np.ndarray:
     table = _table  # one read: another thread may swap in a smaller table
     if top >= table.size:
         size = min(_TABLE_SIZE, 1 << top.bit_length())
-        table = np.concatenate([table, [math.lgamma(k + 1.0) for k in range(table.size, size)]])
+        grown = np.empty(size)
+        grown[: table.size] = table
+        grown[table.size:] = np.fromiter(
+            (math.lgamma(k + 1.0) for k in range(table.size, size)), float, size - table.size)
+        table = grown
         table.setflags(write=False)
         _table = table
     return table
@@ -95,12 +106,18 @@ def log_factorial(x):
         if x < 0:
             raise ValueError("log_factorial needs nonnegative integers")
         return math.lgamma(float(x) + 1.0)
-    x = np.rint(np.asarray(x, dtype=float))
+    x = np.rint(x, dtype=float, order="C")  # a new array, which becomes the result
     if x.size and x.min() < 0:
         raise ValueError("log_factorial needs nonnegative integers")
     large = x >= _TABLE_SIZE
-    index = np.where(large, 0, x).astype(np.int64)
-    out = _log_factorial_table(int(index.max(initial=0)))[index]
-    if np.any(large):
-        out[large] = [math.lgamma(v + 1.0) for v in x[large]]
-    return out
+    big = x[large]
+    x[large] = 0.0
+    table = _log_factorial_table(int(x.max(initial=0.0)))
+    flat = x.reshape(-1)  # a view: x is C-contiguous
+    for start in range(0, flat.size, _BLOCK):  # int64 indices a block at a time
+        block = flat[start:start + _BLOCK]
+        # With an out array, mode="raise" buffers a copy of it; every index is in range.
+        np.take(table, block.astype(np.int64), out=block, mode="clip")
+    if big.size:
+        x[large] = np.fromiter((math.lgamma(v + 1.0) for v in big), float, big.size)
+    return x

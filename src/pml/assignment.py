@@ -99,7 +99,9 @@ class AssignmentSpec:
         object.__setattr__(self, "col_counts", col_counts)
         object.__setattr__(self, "row_counts", row_counts)
         # Linear coefficient of cell (i, j): sum_k freq_j(k) * log(level_i(k)).
-        object.__setattr__(self, "lin_coeff", np.log(levels) @ freqs.T)
+        # Column-major, so the solver's table of the observed columns is a view.
+        lin_coeff = np.empty((levels.shape[0], freqs.shape[0]), order="F")
+        object.__setattr__(self, "lin_coeff", np.matmul(np.log(levels), freqs.T, out=lin_coeff))
 
     lin_coeff: np.ndarray = None  # set in __post_init__
 
@@ -145,36 +147,44 @@ def log_weight(X, spec: AssignmentSpec) -> float | np.ndarray:
     """Log score of an integral assignment: mass term plus multinomial count.
 
     Accepts a stack of matrices (leading axes) and returns matching shape.
+    Besides X, it holds one array of X's shape at a time: the integrality
+    check's and the linear term's share one, and the factorials are another.
     """
     X = _check_matrix(X, spec)
-    if np.any(np.abs(X - np.rint(X)) > 1e-9):
+    work = np.rint(X, order="C")  # the layout X * lin_coeff has, so its sum keeps its bits
+    if np.any(np.abs(np.subtract(X, work, out=work), out=work) > 1e-9):
         raise ValueError("log_weight is defined for integral assignments only")
     if np.any(X < 0):
         raise ValueError("assignments are nonnegative")
     rows = X.sum(axis=-1)
-    lin = (X * spec.lin_coeff).sum(axis=(-2, -1))
+    lin = np.multiply(X, spec.lin_coeff, out=work).sum(axis=(-2, -1))
+    del work
     count = log_factorial(rows).sum(axis=-1) - log_factorial(X).sum(axis=(-2, -1))
     out = lin + count
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """``x log x`` entrywise, with 0 log 0 = 0."""
-    return x * np.log(np.where(x > 0, x, 1.0))
+def _xlogx(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x log x`` entrywise into ``out``, with 0 log 0 = 0."""
+    np.copyto(out, 1.0)
+    np.copyto(out, x, where=x > 0)
+    return np.multiply(x, np.log(out, out=out), out=out)
 
 
 def log_weight_relaxed(X, spec: AssignmentSpec) -> float | np.ndarray:
     """Concave continuous extension of :func:`log_weight` (x log x entropy form).
 
     The linear Stirling terms cancel row-wise, so only ``x log x`` pieces
-    remain; 0 log 0 is taken as 0. Accepts stacked matrices.
+    remain; 0 log 0 is taken as 0. Accepts stacked matrices. Besides X, it
+    holds one array of X's shape, for the linear term and then the entropy.
     """
     X = _check_matrix(X, spec)
     if np.any(X < 0):
         raise ValueError("assignments are nonnegative")
     rows = X.sum(axis=-1)
-    lin = (X * spec.lin_coeff).sum(axis=(-2, -1))
-    ent = _xlogx(rows).sum(axis=-1) - _xlogx(X).sum(axis=(-2, -1))
+    work = X * spec.lin_coeff
+    lin = work.sum(axis=(-2, -1))
+    ent = _xlogx(rows, np.empty_like(rows)).sum(axis=-1) - _xlogx(X, work).sum(axis=(-2, -1))
     out = lin + ent
     return float(out) if np.ndim(out) == 0 else out
 

@@ -189,8 +189,15 @@ def approximate_pml_d(
     disc_profile = DProfile(tuple(zip(map(tuple, freqs), col_counts)), n_disc)
     if delta is None:
         delta = solver.default_delta(spec)
+    num_levels, num_freqs = spec.num_levels, spec.num_cols - 1
+    log_count, count_method = _log_num_assignments(spec)
+    slack_relax_upper = _stirling_upper_bound(spec)
     result = solver.solve(spec, solver.SolverConfig(delta=delta, max_iters=max_iters))
     rounded = rounding.round_assignment(result.X, spec)
+    # Only the rounded assignment and its own table are read from here on, so
+    # the fractional point and the spec's table (two level-by-column arrays)
+    # are let go before the log-weight is taken.
+    del result.X, spec
 
     pseudo = pseudo_from_assignment(rounded)
     mass = np.atleast_1d(pseudo.total_mass)
@@ -198,7 +205,6 @@ def approximate_pml_d(
 
     log_w_round = float(assignment.log_weight(rounded.X, rounded.spec_ext))
     n_arr = np.array(n, dtype=float)
-    log_count, count_method = _log_num_assignments(spec)
     diag = PipelineDiagnostics(
         d=d,
         n=n,
@@ -206,8 +212,8 @@ def approximate_pml_d(
         eps1=tuple(float(e) for e in eps1),
         eps2=tuple(float(e) for e in eps2),
         delta=float(delta),
-        num_levels=spec.num_levels,
-        num_freqs=spec.num_cols - 1,
+        num_levels=num_levels,
+        num_freqs=num_freqs,
         log_coeff_disc_profile=log_d_profile_coefficient(disc_profile),
         solver_objective=result.objective,
         solver_gap=result.certified_gap,
@@ -219,7 +225,7 @@ def approximate_pml_d(
         slack_freq_disc=_freq_disc_slack(d, n_arr, np.asarray(eps2, dtype=float)),
         log_num_assignments=float(log_count),
         assignment_count_method=count_method,
-        slack_relax_upper=_stirling_upper_bound(spec),
+        slack_relax_upper=slack_relax_upper,
         slack_round=max(0.0, result.objective - log_w_round),
     )
     return dist, diag

@@ -19,6 +19,7 @@ __all__ = ["RoundedSolution", "round_assignment"]
 # Fractional entries this close to an integer count as that integer, so solver
 # noise like 2.9999999997 does not floor to 2.
 SNAP = 1e-9
+_BLOCK = 1 << 14  # entries per integrality check
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +39,10 @@ class RoundedSolution:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
-        if np.any(X != np.rint(X)) or np.any(X < 0):
-            raise ValueError("rounded assignments are nonnegative integers")
+        step = max(1, _BLOCK // max(X.shape[1], 1))  # rows checked at a time, not a copy of X
+        for block in (X[start:start + step] for start in range(0, X.shape[0], step)):
+            if np.any(block != np.rint(block)) or np.any(block < 0):
+                raise ValueError("rounded assignments are nonnegative integers")
         for j in range(X.shape[1] - 1):
             row = self.base_rows + j
             mask = np.ones(X.shape[1], dtype=bool)
@@ -64,13 +67,11 @@ def round_assignment(fractional: np.ndarray, spec: AssignmentSpec) -> RoundedSol
     R, J = spec.shape
     cols = J - 1
 
-    floors = np.floor(X_frac + SNAP)
-    frac = X_frac - floors  # may be ~-1e-9 where SNAP rounded a cell up
-
     X = np.zeros((R + cols, J))
-    X[:R] = floors
+    floors = X[:R]  # floored in place: X, the input and frac are the only full-size arrays
+    np.floor(np.add(X_frac, SNAP, out=floors), out=floors)
+    frac = X_frac - floors  # may be ~-1e-9 where SNAP rounded a cell up
     extra_levels = np.zeros((cols, spec.dim))
-    level_rows = spec.levels.copy()
 
     residuals = np.rint(spec.col_counts - floors[:, 1:].sum(axis=0)).astype(np.int64)
     if np.any(residuals < 0):
@@ -85,9 +86,10 @@ def round_assignment(fractional: np.ndarray, spec: AssignmentSpec) -> RoundedSol
         extra_levels[j] = value
         appended[j] = value
         X[R + j, j + 1] = r
+    del frac
 
     spec_ext = AssignmentSpec(
-        levels=np.vstack([level_rows, appended]),
+        levels=np.vstack([spec.levels, appended]),
         freqs=spec.freqs,
         col_counts=spec.col_counts,
     )

@@ -109,20 +109,33 @@ def default_delta(spec: AssignmentSpec) -> float:
     return 1e-6 * scale
 
 
-def _toward_budget(X: np.ndarray, Y: np.ndarray, spec: AssignmentSpec) -> np.ndarray:
-    """``(1 - theta) X + theta Y`` with the least theta in [0, 1] that fits the budget.
+def _budget_theta(use_x: np.ndarray, use_y: np.ndarray) -> float:
+    """The least theta in [0, 1] for which ``(1 - theta) X + theta Y`` fits the
+    budget, from the budget uses of X and Y.
 
     Budget use is linear in the assignment, so theta is the largest
     ``(use_X - 1) / (use_X - use_Y)`` over the coordinates X overshoots; a
     coordinate where Y is no cheaper than X takes theta = 1. The blend fits
     whenever Y does.
     """
-    use_x, use_y = spec.budget_use(X), spec.budget_use(Y)
     over = use_x > 1.0
     drop = (use_x - use_y)[over]
     theta = np.divide(use_x[over] - 1.0, drop, out=np.ones_like(drop), where=drop > 0)
-    theta = min(max(float(theta.max(initial=0.0)), 0.0), 1.0)
-    return X + theta * (Y - X)  # exactly X where Y is
+    return min(max(float(theta.max(initial=0.0)), 0.0), 1.0)
+
+
+def _toward_budget(X: np.ndarray, Y: np.ndarray, spec: AssignmentSpec) -> np.ndarray:
+    """X blended in place toward Y by :func:`_budget_theta`; Y is overwritten.
+
+    Each entry is ``X + theta (Y - X)``, as the blend is written; at theta = 0
+    that is X itself, which is returned untouched.
+    """
+    theta = _budget_theta(spec.budget_use(X), spec.budget_use(Y))
+    if theta > 0.0:
+        Y -= X
+        Y *= theta
+        X += Y
+    return X
 
 
 def _cheapest_placement(spec: AssignmentSpec) -> np.ndarray:
@@ -136,13 +149,20 @@ def _feasible(X: np.ndarray, spec: AssignmentSpec) -> np.ndarray | None:
     """X with observed columns rescaled to their counts and blended toward
     :func:`_cheapest_placement` just onto the budget if they overshoot it, then
     the unseen column scaled by one factor onto what is left; None if X is
-    still infeasible."""
+    still infeasible.
+
+    All in place on X, with the cheapest placement the only other array of
+    its shape: the observed columns are blended with the unseen column set
+    aside, and the second blend, toward that result, moves only the unseen
+    column (the observed ones blend toward themselves).
+    """
     X[:, 1:] *= spec.col_counts / X[:, 1:].sum(axis=0)
-    seen_only = X.copy()
-    seen_only[:, 0] = 0.0
-    seen_only = _toward_budget(seen_only, _cheapest_placement(spec), spec)
-    X[:, 1:] = seen_only[:, 1:]
-    X = _toward_budget(X, seen_only, spec)
+    unseen = X[:, 0].copy()
+    X[:, 0] = 0.0
+    use_seen = spec.budget_use(_toward_budget(X, _cheapest_placement(spec), spec))
+    X[:, 0] = unseen
+    theta = _budget_theta(spec.budget_use(X), use_seen)
+    X[:, 0] = unseen + theta * (0.0 - unseen)
     return X if is_feasible(X, spec, tol=1e-9) else None
 
 
@@ -150,10 +170,14 @@ def _nearest_rows(spec: AssignmentSpec) -> np.ndarray:
     """Per observed column, the first row closest to ``log(freq / n')`` in its seen coordinates."""
     seen = spec.freqs[1:] > 0
     targets = np.log(np.where(seen, spec.freqs[1:], 1.0) / np.maximum(spec.disc_lengths, 1.0))
-    dist = np.zeros((spec.num_levels, spec.num_cols - 1))
+    # Column-major, so the argmin down each column reads dist in place, not a transposed copy.
+    dist = np.zeros((spec.num_levels, spec.num_cols - 1), order="F")
+    gap = np.empty_like(dist)
     for k in range(spec.dim):  # one level-by-column pass per coordinate, not an (R, J, d) table
-        gap = (np.log(spec.levels[:, k, None]) - targets[:, k]) * seen[:, k]
-        dist += gap * gap
+        np.subtract(np.log(spec.levels[:, k, None]), targets[:, k], out=gap)
+        gap *= seen[:, k]
+        gap *= gap
+        dist += gap
     return np.argmin(dist, axis=0)
 
 
@@ -166,8 +190,13 @@ def initial_point(spec: AssignmentSpec) -> np.ndarray:
     """
     if spec.row_counts is not None:
         raise ValueError("initial points are for the budget (fractional) variant")
+    return _start(spec, _nearest_rows(spec))
+
+
+def _start(spec: AssignmentSpec, nearest: np.ndarray) -> np.ndarray:
+    """:func:`initial_point` from the columns' :func:`_nearest_rows`."""
     X = np.zeros(spec.shape)
-    X[_nearest_rows(spec), np.arange(1, spec.num_cols)] = spec.col_counts
+    X[nearest, np.arange(1, spec.num_cols)] = spec.col_counts
     cheapest = _cheapest_placement(spec)
     if np.any(spec.budget_use(cheapest) > 1 + 1e-12):
         raise InfeasibleError("observed counts cannot fit the unit budget at any level")
@@ -179,14 +208,16 @@ def _log1p_sum_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``W``, ``E = exp(Z - top)`` and ``terms = exp(-top) + sum_j E_ij``,
     shifted by ``top = max(0, max_j Z_ij)``, so that ``W = top + log(terms)``
-    and ``exp(Z - W) = E / terms``. Every shifted exponent is clipped at
+    and ``exp(Z - W) = E / terms``. ``E`` is ``Z`` itself, overwritten: no
+    caller reads Z again, and a second level-by-column array per call is what
+    a trial point would cost. Every shifted exponent is clipped at
     ``EXP_FLOOR``, so no ``exp`` underflows. The clip only raises terms, so
     ``W`` is never below the exact value, and it exceeds it by at most
     ``(J + 1) e^-700`` relative (the largest shifted term is one), which is
     lost in roundoff.
     """
     top = Z.max(axis=1, initial=0.0)
-    E = Z - top[:, None]
+    E = np.subtract(Z, top[:, None], out=Z)
     np.exp(np.maximum(E, EXP_FLOOR, out=E), out=E)  # clipped_exp, in place
     terms = clipped_exp(-top) + E.sum(axis=1)
     return top + np.log(terms), E, terms
@@ -349,12 +380,13 @@ def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, sh
 class _ReducedDual:
     """F_t with lam eliminated, over the observed columns, split value first.
 
-    :meth:`value` is what a Newton trial needs: ``Z = C - mu``, the row terms
-    ``W`` with the shifted exponentials ``E`` and row sums ``terms`` they are
-    built from (:func:`_log1p_sum_exp`), the budget multipliers ``lam`` and the
-    exponents ``s``, and ``F_t``. :meth:`derivatives` turns an accepted
-    point's state into the gradient ``c - P^T a`` and the Schur-complement
-    Hessian ``diag(P^T a) + P^T diag(q - a) P - K (L^T diag(q) L)^+ K^T``, with
+    :meth:`value` is what a Newton trial needs: the row terms ``W`` with the
+    shifted exponentials ``E`` of ``Z = C - mu`` and the row sums ``terms``
+    they are built from (:func:`_log1p_sum_exp`), the budget multipliers
+    ``lam`` and the exponents ``s``, and ``F_t``. :meth:`derivatives` turns
+    an accepted point's state into the gradient ``c - P^T a`` and the
+    Schur-complement Hessian
+    ``diag(P^T a) + P^T diag(q - a) P - K (L^T diag(q) L)^+ K^T``, with
     ``P = exp(Z - W) = E / terms`` (no second ``exp``), ``a = exp(s) / kappa``,
     ``q = a / (kappa t)``, ``K = P^T diag(q) L`` and ``L`` the levels of the
     budgets with lam > 0.
@@ -386,6 +418,18 @@ class _ReducedDual:
     :func:`_row_terms`, which the same clip can only overstate, in
     :func:`_repaired_dual_value`, and scores the primal exactly with
     :func:`log_weight_relaxed`.
+
+    Level-by-column arrays: ``C`` is a view of the spec's table. ``C - mu``
+    is written into ``scratch``, one array the dual keeps for all its calls,
+    and becomes ``E`` there, so a value state is good until the next value
+    call, which is all :func:`_descend` asks of it. A new array per trial
+    point made the process's peak RSS swing by up to two such arrays from
+    run to run (d = 3, n = 300: 140 to 162 MB, against 118 MB with the
+    scratch array). :meth:`derivatives` copies ``E / terms`` into a new
+    row-major ``P`` (the BLAS products below give other bits on a
+    column-major one), then writes the Hessian's row-weighted copy of ``P``
+    over ``E``. Between descents, :func:`solve` builds its candidate in
+    ``scratch``.
     """
 
     FLOOR = 1e-150
@@ -394,37 +438,45 @@ class _ReducedDual:
         self.c = spec.col_counts.astype(float)
         # Column-major: value calls reduce C - mu along rows, which numpy then does
         # a whole column at a time. A row-major C made Zipf n = 1000 to 10 000
-        # solves 11-25% slower and moved their results in the last bits.
+        # solves 11-25% slower and moved their results in the last bits. The
+        # spec's table is column-major too, so this is a view of it, not a copy.
         self.C = np.asfortranarray(spec.lin_coeff[:, 1:])
         self.levels = spec.levels
         self.kappa = self.levels.max(axis=1)
         self.share_t = np.ascontiguousarray((self.levels / self.kappa[:, None]).T)
         self.t = t
         self.lam = np.ones(spec.dim)  # warm start of the next lam solve
+        # C - mu, column-major, in the first R (J - 1) entries of a row-major
+        # (R, J) array, the shape of solve's candidates (see the class).
+        self.scratch = np.empty(spec.shape)
 
     def value(self, mu: np.ndarray):
-        """``F_t(mu)`` and the state ``(Z, W, E, terms, lam, s)`` it computed."""
-        Z = self.C - mu
-        W, E, terms = _log1p_sum_exp(Z)
+        """``F_t(mu)`` and the state ``(W, E, terms, lam, s)`` it computed."""
+        Z = self.scratch.reshape(-1)[: self.C.size].reshape(self.C.shape[::-1]).T
+        W, E, terms = _log1p_sum_exp(np.subtract(self.C, mu, out=Z))
         self.lam, s, penalty = _budget_multipliers(W, self.levels, self.kappa, self.share_t,
                                                    self.t, self.lam)
         value = float(self.c @ mu + self.lam.sum() + self.t * penalty)
-        return value, (Z, W, E, terms, self.lam, s)
+        return value, (W, E, terms, self.lam, s)
 
     def derivatives(self, mu: np.ndarray, state):
         """Gradient and Hessian at ``mu`` from its value state, and the state
         ``(lam, a, W, rows, P)`` of the smoothed primal ``X = a_i P_ij`` (zero
-        off ``rows``)."""
-        _, W, E, terms, lam, s = state
+        off ``rows``). The state's ``E`` is overwritten (see the class)."""
+        W, E, terms, lam, s = state
         a = clipped_exp(s) / self.kappa
         rows = a > self.FLOOR
-        P = E[rows]
+        if rows.all():  # the common case: every row-indexed array below is a view
+            rows, P = slice(None), E.copy(order="C")  # row-major: see the class
+        else:
+            P = E[rows]
         P /= terms[rows, None]
         P[P < self.FLOOR] = 0.0
+        weighted = E.reshape(-1, order="F")[: P.size].reshape(P.shape).T  # E's memory
         kappa, used = self.kappa[rows], a[rows]
         q = used / (kappa * self.t)
         mass = P.T @ used
-        H = (P.T * (q - used)) @ P
+        H = np.multiply(P.T, q - used, out=weighted) @ P
         H.flat[:: mass.size + 1] += mass  # the diagonal
         L = self.levels[rows][:, lam > 0]
         if L.shape[1] == 1:  # one budget: K is a vector and pinv(M) a division
@@ -434,7 +486,7 @@ class _ReducedDual:
                 K = P.T @ qL
                 H -= np.outer(K / M, K)
         else:
-            K = (P.T * q) @ L
+            K = np.multiply(P.T, q, out=weighted) @ L
             H -= K @ np.linalg.pinv((L.T * q) @ L) @ K.T
         return self.c - mass, H, (lam, a, W, rows, P)
 
@@ -448,38 +500,55 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
     still above it when the stages or the ``config.max_iters`` Newton steps
     run out flags the result non-certified. It runs on the observed columns
     and returns its point in the caller's shape, zero on the empty columns.
+
+    Level-by-column arrays: the spec's table (``_ReducedDual.C`` is a view of
+    it), the best point so far, the dual's scratch array (``C - mu`` during a
+    descent, the stage's candidate after it) and the accepted point's ``P``
+    exist throughout; a trial value, a Hessian or a score adds one more while
+    it runs. A spec whose columns are all observed, as the pipeline's are, is
+    solved as given and its best point returned as is; only a spec with empty
+    columns is rebuilt without them (a second table) and its point padded
+    back with zeros.
     """
     if spec.row_counts is not None:
         raise ValueError("the solver is for the budget (fractional) variant")
     if config is None:
         config = SolverConfig(delta=default_delta(spec))
     kept = np.r_[True, spec.col_counts > 0]  # the unseen and the observed columns
-    full, spec = spec, AssignmentSpec(spec.levels, spec.freqs[kept], spec.col_counts[kept[1:]])
-    best = initial_point(spec)
+    full = spec
+    if not kept.all():
+        spec = AssignmentSpec(spec.levels, spec.freqs[kept], spec.col_counts[kept[1:]])
+    nearest = _nearest_rows(spec)
+    best = _start(spec, nearest)
     best_value = log_weight_relaxed(best, spec)
     dual = _ReducedDual(spec, 0.1 * max(float(spec.disc_lengths.max()), 1.0))
 
     # Start each column on its nearest level, as the start places it before any blend.
-    mu = dual.C[_nearest_rows(spec), np.arange(dual.c.size)] - np.log(dual.c)
+    mu = dual.C[nearest, np.arange(dual.c.size)] - np.log(dual.c)
     bound, steps, tau = np.inf, 0, 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_STAGES):
             mu, (lam_t, a, W, rows, P), taken, tau = _descend(
                 dual.value, dual.derivatives, mu, config.max_iters - steps, tau=tau)
             steps += taken
+            X = dual.scratch  # C - mu is not read again: the candidate is built there
+            X.fill(0.0)
+            X[:, 0] = a * np.exp(-W)
+            P *= a[rows, None]
+            X[rows, 1:] = P
+            del P  # one level-by-column array fewer while the candidate is scored
             bound = min(bound, _repaired_dual_value(spec, mu, lam_t)[0])
-            smoothed = np.zeros(spec.shape)
-            smoothed[:, 0] = a * np.exp(-W)
-            smoothed[rows, 1:] = a[rows, None] * P
-            X = _feasible(smoothed, spec)
+            X = _feasible(X, spec)
             value = -np.inf if X is None else log_weight_relaxed(X, spec)
-            if value > best_value:
-                best, best_value = X, value
+            if value > best_value:  # the old best becomes the scratch array
+                best, best_value, dual.scratch = X, value, best
             if bound - best_value <= config.delta or steps >= config.max_iters:
                 break
             dual.t *= 0.1
     gap = max(bound - best_value, 0.0)
-    X = np.zeros(full.shape)
-    X[:, kept] = best
-    return SolveResult(X=X, objective=float(best_value), certified_gap=gap, iterations=steps,
+    if spec is not full:
+        X = np.zeros(full.shape)
+        X[:, kept] = best
+        best = X
+    return SolveResult(X=best, objective=float(best_value), certified_gap=gap, iterations=steps,
                        certified=bool(gap <= config.delta))

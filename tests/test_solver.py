@@ -199,6 +199,26 @@ def test_solve_ignores_empty_columns_exactly(spec):
         alone.objective, alone.certified_gap, alone.iterations)
 
 
+@pytest.mark.parametrize("spec", [spec for spec in tiny_solver_specs() if np.all(spec.col_counts)])
+def test_solve_builds_no_second_spec_when_every_column_is_observed(monkeypatch, spec):
+    # A second spec is a second coefficient table, the size of the whole
+    # problem; the pipeline only ever passes specs without empty columns.
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return AssignmentSpec(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "AssignmentSpec", counting)
+    result = solve(spec)
+    assert built == []
+    assert result.X.shape == spec.shape and is_feasible(result.X, spec)
+    empty = AssignmentSpec(spec.levels, np.vstack([spec.freqs, spec.freqs[-1:] + 1]),
+                           np.r_[spec.col_counts, 0])
+    solve(empty)  # the counter does see the rebuild that an empty column needs
+    assert len(built) == 1
+
+
 def test_column_seen_in_one_coordinate_starts_on_its_nearest_level(monkeypatch):
     # d = 2 at the default grids: "f" and "h" are seen in the first sample
     # only, "p" in the second only. Each such column starts on the first row
@@ -286,10 +306,11 @@ def test_solver_config_validation():
         assert SolverConfig(delta=1e-6, max_iters=max_iters).max_iters == 300
 
 
-def dense_derivatives(dual, state):
+def dense_derivatives(dual, mu, state):
     """Gradient and Hessian of the reduced smoothed dual from the textbook
     formula over every row, with nothing dropped or clipped."""
-    Z, W, _, _, lam, s = state
+    W, _, _, lam, s = state
+    Z = dual.C - mu
     P = np.exp(Z - W[:, None])
     a = np.exp(s) / dual.kappa
     q = a / (dual.kappa * dual.t)
@@ -329,7 +350,7 @@ def test_derivatives_match_value_differences_and_dense_formula(monkeypatch, sequ
             state = dual.value(mu)[1]
             grad, H, (lam, *_, rows, _) = dual.derivatives(mu, state)
             assert np.sum(lam > 0) == spec.dim  # every budget is active
-            ref_grad, ref_H, P, a = dense_derivatives(dual, state)
+            ref_grad, ref_H, P, a = dense_derivatives(dual, mu, state)
             if record is records[2]:
                 assert np.any(a <= _ReducedDual.FLOOR)
                 assert np.any(P[rows] < _ReducedDual.FLOOR)

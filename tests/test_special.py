@@ -44,6 +44,23 @@ def test_a_small_estimate_builds_a_small_log_factorial_table(tmp_path):
     assert 0 < size <= 64
 
 
+def test_growing_the_log_factorial_table_makes_no_python_floats():
+    # From empty to all 2**16 entries in a fresh interpreter: the old table
+    # and the new one (0.5 MB) are all it may hold. Built through a list of
+    # 65 280 Python floats, the growth peaked at 3.2 MB.
+    code = (
+        "import tracemalloc\n"
+        "import numpy as np\n"
+        "from pml import _special\n"
+        "assert _special._table.size == 0\n"
+        "tracemalloc.start()\n"
+        "_special.log_factorial(np.array([2**16 - 1]))\n"
+        "assert _special._table.size == 2**16\n"
+        "print(tracemalloc.get_traced_memory()[1])"
+    )
+    assert int(run_python(code)) < 1.5e6
+
+
 @pytest.mark.parametrize("order", [1, -1], ids=["small-first", "large-first"])
 def test_log_factorial_is_lgamma_bit_for_bit_in_any_order(monkeypatch, order):
     # The table grows on demand; each entry must be math.lgamma(k + 1.0)
