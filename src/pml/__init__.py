@@ -1,140 +1,76 @@
-"""Approximate profile-maximum-likelihood distributions and plug-in property estimation."""
+"""Approximate profile-maximum-likelihood distributions and plug-in property estimation.
 
-from .assignment import (
-    AssignmentSpec,
-    EnumerationCapError,
-    count_feasible,
-    grad_log_weight_relaxed,
-    is_feasible,
-    iter_feasible,
-    log_count_bound,
-    log_weight,
-    log_weight_relaxed,
-    log_weight_sum,
-)
-from .estimators import (
-    LevelSetDistribution,
-    PairedLevelSetDistribution,
-    distance_to_uniformity,
-    entropy,
-    kl_plugin,
-    normalize,
-    pseudo_from_assignment,
-    support_coverage,
-    support_size,
-)
-from .exact import (
-    GridSearchConfig,
-    OracleSizeError,
-    brute_force_pml,
-    levelset_profile_logprob,
-    profile_logprob,
-    profile_logprob_by_sequences,
-    sequence_logprob,
-)
-from .grids import (
-    DiscreteProfile,
-    DiscretePseudoDistribution,
-    FrequencyGrid,
-    ProbabilityGrid,
-    build_frequency_grid,
-    build_probability_grid,
-    discretize_distribution,
-    discretize_profile,
-)
-from .multi import (
-    DGrids,
-    DProfile,
-    brute_force_pml_d,
-    build_d_grids,
-    d_profile_of,
-    discretize_d_profile,
-    exact_d_profile_logprob,
-    levelset_d_profile_logprob,
-    log_d_profile_coefficient,
-)
-from .pipeline import PipelineDiagnostics, approximate_pml, approximate_pml_d
-from .profiles import (
-    Profile,
-    TypeVector,
-    log_profile_coefficient,
-    profile_coefficient_exact,
-    profile_of_sequence,
-    profile_of_type,
-    type_of_sequence,
-)
-from .rounding import RoundedSolution, round_assignment
-from .solver import (
-    InfeasibleError,
-    SolveResult,
-    SolverConfig,
-    default_delta,
-    initial_point,
-    solve,
-)
+The estimate path runs ``profiles`` (profiles of samples), ``grids`` and
+``multi`` (ladders, product grids and d-profiles), ``assignment`` and
+``solver`` (the relaxed score and its certified solve), ``rounding``,
+``estimators`` and ``pipeline``, which chains them. ``exact`` holds the
+enumeration and grid-search oracles that the tests compare against; no
+estimate loads it.
+
+``import pml`` loads none of these: each public name is found in ``_EXPORTS``
+and its submodule is imported on first access (PEP 562), so a process pays
+only for the layers it uses. The submodules are attributes of the package
+too.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssignmentSpec",
-    "DGrids",
-    "DProfile",
-    "DiscreteProfile",
-    "DiscretePseudoDistribution",
-    "EnumerationCapError",
-    "FrequencyGrid",
-    "GridSearchConfig",
-    "InfeasibleError",
-    "LevelSetDistribution",
-    "OracleSizeError",
-    "PairedLevelSetDistribution",
-    "PipelineDiagnostics",
-    "ProbabilityGrid",
-    "Profile",
-    "RoundedSolution",
-    "SolveResult",
-    "SolverConfig",
-    "TypeVector",
-    "approximate_pml",
-    "approximate_pml_d",
-    "brute_force_pml",
-    "brute_force_pml_d",
-    "build_d_grids",
-    "build_frequency_grid",
-    "build_probability_grid",
-    "count_feasible",
-    "d_profile_of",
-    "default_delta",
-    "discretize_d_profile",
-    "discretize_distribution",
-    "discretize_profile",
-    "distance_to_uniformity",
-    "entropy",
-    "exact_d_profile_logprob",
-    "grad_log_weight_relaxed",
-    "initial_point",
-    "is_feasible",
-    "iter_feasible",
-    "kl_plugin",
-    "levelset_d_profile_logprob",
-    "levelset_profile_logprob",
-    "log_count_bound",
-    "log_d_profile_coefficient",
-    "log_profile_coefficient",
-    "log_weight",
-    "log_weight_relaxed",
-    "log_weight_sum",
-    "normalize",
-    "profile_coefficient_exact",
-    "profile_logprob",
-    "profile_logprob_by_sequences",
-    "profile_of_sequence",
-    "profile_of_type",
-    "pseudo_from_assignment",
-    "round_assignment",
-    "sequence_logprob",
-    "solve",
-    "support_coverage",
-    "support_size",
-    "type_of_sequence",
-]
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "assignment": (
+            "AssignmentSpec", "EnumerationCapError", "count_feasible", "grad_log_weight_relaxed",
+            "is_feasible", "iter_feasible", "log_count_bound", "log_weight", "log_weight_relaxed",
+            "log_weight_sum",
+        ),
+        "estimators": (
+            "LevelSetDistribution", "PairedLevelSetDistribution", "distance_to_uniformity",
+            "entropy", "kl_plugin", "normalize", "pseudo_from_assignment", "support_coverage",
+            "support_size",
+        ),
+        "exact": (
+            "GridSearchConfig", "OracleSizeError", "brute_force_pml", "brute_force_pml_d",
+            "exact_d_profile_logprob", "levelset_d_profile_logprob", "levelset_profile_logprob",
+            "profile_logprob", "profile_logprob_by_sequences", "sequence_logprob",
+        ),
+        "grids": (
+            "DiscreteProfile", "DiscretePseudoDistribution", "FrequencyGrid", "ProbabilityGrid",
+            "build_frequency_grid", "build_probability_grid", "discretize_distribution",
+            "discretize_profile",
+        ),
+        "multi": (
+            "DGrids", "DProfile", "build_d_grids", "d_profile_of", "discretize_d_profile",
+            "log_d_profile_coefficient",
+        ),
+        "pipeline": ("PipelineDiagnostics", "approximate_pml", "approximate_pml_d"),
+        "profiles": (
+            "Profile", "TypeVector", "log_profile_coefficient", "profile_coefficient_exact",
+            "profile_of_sequence", "profile_of_type", "type_of_sequence",
+        ),
+        "rounding": ("RoundedSolution", "round_assignment"),
+        "solver": (
+            "InfeasibleError", "SolveResult", "SolverConfig", "default_delta", "initial_point",
+            "solve",
+        ),
+    }.items()
+    for name in names
+}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"_special", "combinatorics"}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 solver result not certified
 (the result is still emitted), 3 oracle size guard exceeded.
+
+Each command imports the layers it runs, so a call pays only for those: only
+the two estimate commands import ``pipeline``, and only ``exact`` and
+``bruteforce`` import the oracles. Layers are called through their modules'
+attributes, so a patch on a module reaches the commands.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ import sys
 import click
 import numpy as np
 
-from . import estimators, exact, pipeline
-from .assignment import EnumerationCapError
+from . import estimators
 from .grids import GridSizeError
 from .multi import DProfile, d_profile_of
 from .profiles import Profile, profile_of_sequence
@@ -200,6 +204,8 @@ def cmd_estimate(profiles, eps1, eps2, delta, properties, output, fmt):
     props = _parse_properties(properties)
     parsed = [_read_profile(path, Profile) for path in profiles]
     options = {"eps1": eps1, "eps2": eps2, "delta": delta}
+    from . import pipeline
+
     _estimate_and_emit(pipeline.approximate_pml, parsed, options, props, output, fmt)
 
 
@@ -222,6 +228,8 @@ def cmd_estimate_d(dprofile, dim, eps1, eps2, delta, properties, output, fmt):
         raise click.ClickException(f"profile has dimension {dp.d}, not {dim}")
     options = {"eps1": None if eps1 is None else (eps1,) * dp.d,
                "eps2": None if eps2 is None else (eps2,) * dp.d, "delta": delta}
+    from . import pipeline
+
     _estimate_and_emit(pipeline.approximate_pml_d, [dp], options, props, output, fmt)
 
 
@@ -230,6 +238,9 @@ def cmd_estimate_d(dprofile, dim, eps1, eps2, delta, properties, output, fmt):
 @click.argument("dist_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_exact(profile_path, dist_path):
     """Exact log-probability of a profile under a distribution JSON ({"probs": [...]})."""
+    from . import exact
+    from .assignment import EnumerationCapError
+
     profile = _read_profile(profile_path, Profile)
     data = _load_json(dist_path)
     if not isinstance(data, dict) or "probs" not in data:
@@ -251,6 +262,8 @@ def cmd_exact(profile_path, dist_path):
 @click.option("--resolution", type=int, default=10)
 def cmd_bruteforce(profile_path, support_cap, resolution):
     """Grid-search PML over tiny supports; prints the best grid distribution."""
+    from . import exact
+
     profile = _read_profile(profile_path, Profile)
     try:
         if support_cap is None:

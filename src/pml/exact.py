@@ -1,20 +1,25 @@
 """Exact small-scale oracles: profile probabilities by enumeration and grid-search PML.
 
-Everything here is ground truth for the rest of the package. The main path
-enumerates types (compositions of the sample length over the support); a second,
-fully independent path enumerates raw sequences and exists only to cross-check
-the first at tiny sizes.
+Everything here is ground truth for the rest of the package, at d = 1 and for
+joint d-profiles alike; this module holds every oracle, and no estimate path
+imports it. The main path enumerates types (compositions of the sample length
+over the support); a second, fully independent path enumerates raw sequences
+and exists only to cross-check the first at tiny sizes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from . import assignment
 from ._special import logsumexp
-from .combinatorics import composition_array, iter_partitions
+from .combinatorics import composition_array, iter_partitions, num_compositions
+from .estimators import merge_levels
+from .multi import DProfile, log_d_profile_coefficient
 from .profiles import Profile, TypeVector, log_profile_coefficient
 
 __all__ = [
@@ -25,6 +30,9 @@ __all__ = [
     "profile_logprob_by_sequences",
     "levelset_profile_logprob",
     "brute_force_pml",
+    "exact_d_profile_logprob",
+    "levelset_d_profile_logprob",
+    "brute_force_pml_d",
 ]
 
 MAX_ORACLE_LENGTH = 12
@@ -176,11 +184,9 @@ def levelset_profile_logprob(values, counts, profile: Profile, *, cap: int = 2_0
 
     Groups the type enumeration by probability level, so a distribution with
     many elements but few distinct values stays tractable. This is
-    :func:`pml.multi.levelset_d_profile_logprob` at d = 1; equality with
+    :func:`levelset_d_profile_logprob` at d = 1; equality with
     :func:`profile_logprob` on expanded supports is exercised by the tests.
     """
-    from .multi import DProfile, levelset_d_profile_logprob  # multi imports this module
-
     values = np.asarray(values, dtype=float).ravel()
     counts = np.asarray(counts, dtype=np.int64).ravel()
     if values.shape != counts.shape:
@@ -239,3 +245,141 @@ def brute_force_pml(
             best = candidate
     assert best is not None
     return best, best_logprob
+
+
+def exact_d_profile_logprob(
+    prob_vectors: Sequence[np.ndarray],
+    dprofile: DProfile,
+    *,
+    max_length: int = 6,
+    max_support: int = 5,
+) -> float:
+    """Exact log-probability of a d-profile by nested type enumeration.
+
+    Enumerates per-coordinate compositions jointly over a shared support and
+    keeps type tuples whose tuple histogram matches. Guarded to tiny sizes.
+    """
+    d = dprofile.d
+    if len(prob_vectors) != d:
+        raise ValueError("need one probability vector per coordinate")
+    probs = [_as_prob_vector(p) for p in prob_vectors]
+    support = probs[0].size
+    if any(p.size != support for p in probs):
+        raise ValueError("coordinates must share one domain")
+    if support > max_support or any(nk > max_length for nk in dprofile.n):
+        raise OracleSizeError("d-dimensional oracle limited to tiny instances")
+
+    comps = [composition_array(nk, support) for nk in dprofile.n]
+    logs = []
+    valid = []
+    for p, comp in zip(probs, comps):
+        safe = np.where(p > 0, p, 1.0)
+        logs.append(comp.astype(float) @ np.log(safe))
+        valid.append(comp[:, p <= 0].sum(axis=1) == 0)
+
+    # Joint key per element: mixed-radix encoding of its frequency tuple.
+    radix = np.array([nk + 1 for nk in dprofile.n], dtype=np.int64)
+    weights = np.concatenate([[1], np.cumprod(radix[:-1])])
+    freq_keys = dprofile.freq_array() @ weights
+    reps = np.repeat(freq_keys, dprofile.count_array())
+    if reps.size > support:
+        return float("-inf")
+    target = np.zeros(support, dtype=np.int64)
+    target[: reps.size] = reps
+    target = -np.sort(-target)
+
+    shapes = [c.shape[0] for c in comps]
+    keys = np.zeros(tuple(shapes) + (support,), dtype=np.int64)
+    logp = np.zeros(tuple(shapes))
+    ok = np.ones(tuple(shapes), dtype=bool)
+    for k, comp in enumerate(comps):
+        expand = [None] * d + [slice(None)]
+        expand[k] = slice(None)
+        keys = keys + comp[tuple(expand)] * weights[k]
+        shape_k = [1] * d
+        shape_k[k] = shapes[k]
+        logp = logp + logs[k].reshape(shape_k)
+        ok &= valid[k].reshape(shape_k)
+
+    ordered = -np.sort(-keys, axis=-1)
+    match = np.all(ordered == target, axis=-1) & ok
+    if not match.any():
+        return float("-inf")
+    return float(log_d_profile_coefficient(dprofile) + logsumexp(logp[match]))
+
+
+def levelset_d_profile_logprob(
+    values: np.ndarray,
+    counts: np.ndarray,
+    dprofile: DProfile,
+    *,
+    cap: int = 2_000_000,
+) -> float:
+    """Exact d-profile log-probability of a paired level-set distribution.
+
+    Groups the type enumeration by level tuple. Levels may have zero
+    coordinates; columns observed in a coordinate the level lacks are blocked.
+    Each coordinate must be a pseudo-distribution: finite values in [0, 1]
+    whose mass ``sum counts * values`` is at most one.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    counts = np.asarray(counts, dtype=np.int64).ravel()
+    if not np.all(np.isfinite(values)):
+        raise ValueError("level values must be finite")
+    if np.any((values < 0) | (values > 1)) or np.any(counts @ values > 1 + 1e-9):
+        raise ValueError("level values must lie in [0, 1] with mass at most one")
+    values, counts = merge_levels(values, counts)  # the grouped sum needs distinct rows
+    freqs = dprofile.freq_array().astype(float)
+    spec = assignment.AssignmentSpec(
+        levels=np.where(values > 0, values, 1.0),
+        freqs=np.vstack([np.zeros((1, dprofile.d)), freqs]),
+        col_counts=dprofile.count_array(),
+        row_counts=counts,
+    )
+    blocked = _blocked_cells(values, freqs)
+    allowed = (
+        X for X in assignment.iter_feasible(spec, cap=cap) if not np.any(X[:, 1:][blocked] > 0)
+    )
+    return float(log_d_profile_coefficient(dprofile) + assignment.log_weight_total(allowed, spec))
+
+
+def _blocked_cells(values: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """(L, F) mask of observed cells requiring a coordinate the level lacks."""
+    zero_level = values <= 0  # (L, d)
+    needs = freqs > 0  # (F, d)
+    return (zero_level[:, None, :] & needs[None, :, :]).any(axis=2)
+
+
+def brute_force_pml_d(
+    dprofile: DProfile,
+    support_cap: int = 3,
+    resolution: int = 6,
+) -> tuple[np.ndarray, float]:
+    """Grid search over d-distribution pairs sharing a support (d = 2 only).
+
+    The first coordinate runs over nonincreasing grid distributions (labels
+    are broken by sorting), the second over all grid compositions on the same
+    support, zeros allowed. Returns a certified lower bound on the joint PML
+    value. Raises :class:`OracleSizeError` beyond the size guards, or when
+    the pairs would outnumber ``MAX_GRID_CANDIDATES``.
+    """
+    if dprofile.d != 2:
+        raise ValueError("brute force implemented for d = 2")
+    if support_cap > 4 or any(nk > 6 for nk in dprofile.n):
+        raise OracleSizeError("d = 2 brute force limited to tiny instances")
+    firsts = grid_partitions(resolution, support_cap, num_compositions(resolution, support_cap))
+    best = float("-inf")
+    best_pair: np.ndarray | None = None
+    second = composition_array(resolution, support_cap).astype(float) / resolution
+    for parts in firsts:
+        first = np.zeros(support_cap)
+        first[: len(parts)] = np.array(parts, dtype=float) / resolution
+        for q in second:
+            value = exact_d_profile_logprob([first, q], dprofile)
+            if value > best:
+                best = value
+                best_pair = np.stack([first, q], axis=1)
+    assert best_pair is not None
+    return best_pair, best

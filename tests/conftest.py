@@ -1,10 +1,16 @@
-"""Shared instance generators for the test suite (all seeded, all deterministic)."""
+"""Seeded, deterministic instance generators and a fresh-interpreter runner for the tests."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pml
 from pml import (
     AssignmentSpec,
     Profile,
@@ -13,6 +19,14 @@ from pml import (
     discretize_d_profile,
     profile_of_sequence,
 )
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this pml; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pml.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -21,7 +21,7 @@ from pml import (
     profile_logprob,
     profile_of_sequence,
 )
-from pml import multi
+from pml import exact
 from conftest import make_rng, random_distribution, random_sequence
 
 
@@ -230,7 +230,7 @@ def test_brute_force_d2_prefers_matching_pair():
 def test_brute_force_d2_refuses_too_many_pairs_before_scoring_one(monkeypatch):
     dp = d_profile_of(["ab", "ab"])
     calls = []
-    monkeypatch.setattr(multi, "exact_d_profile_logprob", lambda q, _: calls.append(q) or 0.0)
+    monkeypatch.setattr(exact, "exact_d_profile_logprob", lambda q, _: calls.append(q) or 0.0)
     # 7 partitions of 6 into at most 3 parts, times 28 compositions.
     brute_force_pml_d(dp, support_cap=3, resolution=6)
     assert len(calls) == 7 * 28
@@ -238,7 +238,7 @@ def test_brute_force_d2_refuses_too_many_pairs_before_scoring_one(monkeypatch):
     def scored(*_):
         raise AssertionError("a pair was scored")
 
-    monkeypatch.setattr(multi, "exact_d_profile_logprob", scored)
+    monkeypatch.setattr(exact, "exact_d_profile_logprob", scored)
     # 108 partitions of 20 into at most 4 parts times 1 771 compositions;
     # at 200 the compositions alone pass the limit.
     for resolution in (20, 200):

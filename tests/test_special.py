@@ -1,27 +1,15 @@
 """The numpy replacements for scipy routines, checked against scipy itself."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
-import pml
 from pml import _special
 from pml._special import log_factorial, logsumexp
-
-
-def run_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that imports this pml; return its stdout."""
-    env = {**os.environ, "PYTHONPATH": str(Path(pml.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    return proc.stdout
+from conftest import run_python
 
 
 def test_importing_the_cli_loads_no_scipy():
