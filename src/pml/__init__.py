@@ -2,8 +2,9 @@
 
 The estimate path runs ``profiles`` (profiles of samples), ``grids`` and
 ``multi`` (ladders, product grids and d-profiles), ``assignment`` and
-``solver`` (the relaxed score and its certified solve), ``rounding``,
-``estimators`` and ``pipeline``, which chains them. ``exact`` holds the
+``solver`` (the relaxed score and its certified solve), ``estimators``
+(level-set distributions and plug-in estimates), ``rounding`` and
+``pipeline``, which chains them. ``exact`` holds the
 enumeration and grid-search oracles that the tests compare against; no
 estimate loads it.
 
@@ -26,9 +27,8 @@ _EXPORTS = {
             "log_weight_sum",
         ),
         "estimators": (
-            "LevelSetDistribution", "PairedLevelSetDistribution", "distance_to_uniformity",
-            "entropy", "kl_plugin", "normalize", "pseudo_from_assignment", "support_coverage",
-            "support_size",
+            "LevelSetDistribution", "distance_to_uniformity", "entropy", "kl_plugin", "normalize",
+            "support_coverage", "support_size",
         ),
         "exact": (
             "GridSearchConfig", "OracleSizeError", "brute_force_pml", "brute_force_pml_d",
@@ -36,9 +36,8 @@ _EXPORTS = {
             "profile_logprob", "profile_logprob_by_sequences", "sequence_logprob",
         ),
         "grids": (
-            "DiscreteProfile", "DiscretePseudoDistribution", "FrequencyGrid", "ProbabilityGrid",
-            "build_frequency_grid", "build_probability_grid", "discretize_distribution",
-            "discretize_profile",
+            "DiscreteProfile", "FrequencyGrid", "ProbabilityGrid", "build_frequency_grid",
+            "build_probability_grid", "discretize_profile",
         ),
         "multi": (
             "DGrids", "DProfile", "build_d_grids", "d_profile_of", "discretize_d_profile",
@@ -49,7 +48,7 @@ _EXPORTS = {
             "Profile", "TypeVector", "log_profile_coefficient", "profile_coefficient_exact",
             "profile_of_sequence", "profile_of_type", "type_of_sequence",
         ),
-        "rounding": ("RoundedSolution", "round_assignment"),
+        "rounding": ("RoundedSolution", "pseudo_from_assignment", "round_assignment"),
         "solver": (
             "InfeasibleError", "SolveResult", "SolverConfig", "default_delta", "initial_point",
             "solve",

@@ -14,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rounding import RoundedSolution
-
 __all__ = [
     "LevelSetDistribution",
-    "PairedLevelSetDistribution",
     "merge_levels",
-    "pseudo_from_assignment",
     "normalize",
     "entropy",
     "support_size",
@@ -113,18 +109,6 @@ class LevelSetDistribution:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-PairedLevelSetDistribution = LevelSetDistribution  # so code naming the joint case keeps working
-
-
-def pseudo_from_assignment(rounded: RoundedSolution) -> LevelSetDistribution:
-    """Level-set view of a rounded assignment: one level per nonempty row."""
-    row_sums = rounded.X.sum(axis=1)
-    keep = row_sums > 0
-    if not np.any(keep):
-        raise ValueError("assignment has no elements")
-    return LevelSetDistribution(rounded.spec_ext.levels[keep], row_sums[keep])
 
 
 def normalize(dist: LevelSetDistribution) -> LevelSetDistribution:

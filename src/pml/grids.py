@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,9 @@ __all__ = [
     "GridSizeError",
     "ProbabilityGrid",
     "FrequencyGrid",
-    "DiscretePseudoDistribution",
     "DiscreteProfile",
     "build_probability_grid",
     "build_frequency_grid",
-    "discretize_distribution",
     "discretize_profile",
 ]
 
@@ -188,66 +185,6 @@ def build_frequency_grid(n: int, eps: float) -> FrequencyGrid:
             k += 1
     values.add(n)
     return FrequencyGrid(eps=eps, values=np.array(sorted(values), dtype=np.int64))
-
-
-@dataclass(frozen=True, eq=False)
-class DiscretePseudoDistribution:
-    """Counts of elements at each probability-grid index; total mass <= 1."""
-
-    grid: ProbabilityGrid
-    level_counts: dict[int, int]
-    dropped_mass: float = 0.0
-
-    def __post_init__(self):
-        counts = {int(i): int(c) for i, c in self.level_counts.items() if c}
-        for idx, count in counts.items():
-            if not 0 <= idx < self.grid.size:
-                raise ValueError(f"grid index {idx} out of range")
-            if count < 1:
-                raise ValueError("counts must be positive")
-        object.__setattr__(self, "level_counts", counts)
-
-    def levels(self) -> dict[float, int]:
-        """Map grid value -> element count, largest value first."""
-        return {
-            float(self.grid.values[i]): c
-            for i, c in sorted(self.level_counts.items(), reverse=True)
-        }
-
-    def total_mass(self) -> float:
-        return float(
-            sum(self.grid.values[i] * c for i, c in self.level_counts.items())
-        )
-
-    def to_values(self) -> np.ndarray:
-        """Dense vector with one entry per element, descending."""
-        if not self.level_counts:
-            return np.array([], dtype=float)
-        idx = np.array(sorted(self.level_counts, reverse=True), dtype=np.int64)
-        reps = np.array([self.level_counts[i] for i in idx], dtype=np.int64)
-        return np.repeat(self.grid.values[idx], reps)
-
-
-def discretize_distribution(probs, grid: ProbabilityGrid) -> DiscretePseudoDistribution:
-    """Floor each entry onto the grid.
-
-    Entries below the bottom grid value floor to zero; their mass is reported
-    in ``dropped_mass`` rather than silently lost.
-    """
-    p = np.asarray(probs, dtype=float).ravel()
-    if np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
-    counts: Counter = Counter()
-    dropped = 0.0
-    for value in p:
-        if value == 0.0:
-            continue
-        idx = grid.floor_index(float(value))
-        if idx < 0:
-            dropped += float(value)
-        else:
-            counts[idx] += 1
-    return DiscretePseudoDistribution(grid=grid, level_counts=dict(counts), dropped_mass=dropped)
 
 
 @dataclass(frozen=True, eq=False)

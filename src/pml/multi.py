@@ -119,6 +119,8 @@ class DProfile:
             raise ValueError(f"malformed d-profile data: {exc}") from exc
         if not is_whole(d):
             raise ValueError(f"d must be an integer, got {d!r}")
+        if not 1 <= d <= MAX_DIM:  # before the d-long tuples below are built
+            raise ValueError(f"dimension must be between 1 and {MAX_DIM}")
         for f, c in entries:
             if len(f) != d or not all(map(is_whole, f)):
                 raise ValueError(f"bad frequency tuple {f!r}")

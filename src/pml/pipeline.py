@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import assignment, rounding, solver
-from .estimators import LevelSetDistribution, normalize, pseudo_from_assignment
+from .estimators import LevelSetDistribution, normalize
 from .multi import DProfile, build_d_grids, discretize_d_profile, log_d_profile_coefficient
 from .profiles import Profile
 
@@ -194,16 +194,10 @@ def approximate_pml_d(
     slack_relax_upper = _stirling_upper_bound(spec)
     result = solver.solve(spec, solver.SolverConfig(delta=delta, max_iters=max_iters))
     rounded = rounding.round_assignment(result.X, spec)
-    # Only the rounded assignment and its own table are read from here on, so
-    # the fractional point and the spec's table (two level-by-column arrays)
-    # are let go before the log-weight is taken.
-    del result.X, spec
-
-    pseudo = pseudo_from_assignment(rounded)
+    pseudo = rounding.pseudo_from_assignment(rounded)
     mass = np.atleast_1d(pseudo.total_mass)
     dist = normalize(pseudo)
 
-    log_w_round = float(assignment.log_weight(rounded.X, rounded.spec_ext))
     n_arr = np.array(n, dtype=float)
     diag = PipelineDiagnostics(
         d=d,
@@ -219,13 +213,13 @@ def approximate_pml_d(
         solver_gap=result.certified_gap,
         solver_iterations=result.iterations,
         certified=result.certified,
-        log_weight_rounded=log_w_round,
+        log_weight_rounded=rounded.log_weight,
         mass_before_normalize=tuple(float(m) for m in mass),
         slack_prob_disc=float((np.asarray(eps1, dtype=float) * n_arr).sum()),
         slack_freq_disc=_freq_disc_slack(d, n_arr, np.asarray(eps2, dtype=float)),
         log_num_assignments=float(log_count),
         assignment_count_method=count_method,
         slack_relax_upper=slack_relax_upper,
-        slack_round=max(0.0, result.objective - log_w_round),
+        slack_round=max(0.0, result.objective - rounded.log_weight),
     )
     return dist, diag

@@ -12,44 +12,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import AssignmentSpec, is_feasible
+from .assignment import AssignmentSpec, is_feasible, log_weight
+from .estimators import LevelSetDistribution
 
-__all__ = ["RoundedSolution", "round_assignment"]
+__all__ = ["RoundedSolution", "pseudo_from_assignment", "round_assignment"]
 
 # Fractional entries this close to an integer count as that integer, so solver
 # noise like 2.9999999997 does not floor to 2.
 SNAP = 1e-9
-_BLOCK = 1 << 14  # entries per integrality check
 
 
 @dataclass(frozen=True, eq=False)
 class RoundedSolution:
     """Integral assignment on the level set extended by one row per column.
 
-    ``X`` has shape (base_rows + num_observed_cols, num_cols); appended row
-    ``base_rows + j`` may only be nonzero in column ``j + 1``. ``extra_levels``
-    keeps the fresh level values, with all-zero rows marking columns that
-    rounded exactly and needed no new level.
+    ``X`` has shape (R + J - 1, J) for a spec of R levels and J columns, and
+    ``levels`` holds one value row per row of ``X``: the spec's levels, then
+    one fresh level per observed column. Appended row ``R + j`` is nonzero in
+    column ``j + 1`` only; a column that rounded exactly keeps the placeholder
+    level 1.0 on an empty row. ``log_weight`` is the exact log-weight of ``X``
+    on those levels, one term of their grouped sum.
     """
 
     X: np.ndarray
-    extra_levels: np.ndarray
-    spec_ext: AssignmentSpec
-    base_rows: int
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        step = max(1, _BLOCK // max(X.shape[1], 1))  # rows checked at a time, not a copy of X
-        for block in (X[start:start + step] for start in range(0, X.shape[0], step)):
-            if np.any(block != np.rint(block)) or np.any(block < 0):
-                raise ValueError("rounded assignments are nonnegative integers")
-        for j in range(X.shape[1] - 1):
-            row = self.base_rows + j
-            mask = np.ones(X.shape[1], dtype=bool)
-            mask[j + 1] = False
-            if np.any(X[row, mask] != 0):
-                raise ValueError(f"appended row {row} may only use column {j + 1}")
-        object.__setattr__(self, "X", X)
+    levels: np.ndarray
+    log_weight: float
 
 
 def round_assignment(fractional: np.ndarray, spec: AssignmentSpec) -> RoundedSolution:
@@ -71,7 +58,6 @@ def round_assignment(fractional: np.ndarray, spec: AssignmentSpec) -> RoundedSol
     floors = X[:R]  # floored in place: X, the input and frac are the only full-size arrays
     np.floor(np.add(X_frac, SNAP, out=floors), out=floors)
     frac = X_frac - floors  # may be ~-1e-9 where SNAP rounded a cell up
-    extra_levels = np.zeros((cols, spec.dim))
 
     residuals = np.rint(spec.col_counts - floors[:, 1:].sum(axis=0)).astype(np.int64)
     if np.any(residuals < 0):
@@ -82,15 +68,21 @@ def round_assignment(fractional: np.ndarray, spec: AssignmentSpec) -> RoundedSol
         r = residuals[j]
         if r == 0:
             continue
-        value = frac[:, j + 1] @ spec.levels / r
-        extra_levels[j] = value
-        appended[j] = value
+        appended[j] = frac[:, j + 1] @ spec.levels / r
         X[R + j, j + 1] = r
     del frac
 
-    spec_ext = AssignmentSpec(
-        levels=np.vstack([spec.levels, appended]),
-        freqs=spec.freqs,
-        col_counts=spec.col_counts,
-    )
-    return RoundedSolution(X=X, extra_levels=extra_levels, spec_ext=spec_ext, base_rows=R)
+    # Appended row R + j holds r_j elements in column j + 1 alone, so its
+    # multinomial term is log r_j! - log r_j! = 0 and its mass term is
+    # r_j * (f_j . log v_j).
+    weight = log_weight(floors, spec) + residuals @ (np.log(appended) * spec.freqs[1:]).sum(axis=1)
+    return RoundedSolution(X, np.vstack([spec.levels, appended]), float(weight))
+
+
+def pseudo_from_assignment(rounded: RoundedSolution) -> LevelSetDistribution:
+    """Level-set view of a rounded assignment: one level per nonempty row."""
+    row_sums = rounded.X.sum(axis=1)
+    keep = row_sums > 0
+    if not np.any(keep):
+        raise ValueError("assignment has no elements")
+    return LevelSetDistribution(rounded.levels[keep], row_sums[keep])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pml import (
+    AssignmentSpec,
     DProfile,
     GridSearchConfig,
     Profile,
@@ -22,7 +23,6 @@ from pml import (
     build_probability_grid,
     d_profile_of,
     discretize_d_profile,
-    discretize_distribution,
     distance_to_uniformity,
     entropy,
     exact_d_profile_logprob,
@@ -42,7 +42,7 @@ from pml import (
     support_coverage,
     support_size,
 )
-from pml.estimators import LevelSetDistribution, PairedLevelSetDistribution
+from pml.estimators import LevelSetDistribution
 from conftest import (
     make_rng,
     random_distribution,
@@ -87,7 +87,7 @@ def test_criterion_02_probability_discretization():
         profile = random_profile(rng, n, alphabet)
         grid = build_probability_grid(n, eps1)
         exact = profile_logprob(p, profile)
-        floored = profile_logprob(discretize_distribution(p, grid).to_values(), profile)
+        floored = profile_logprob(np.array([grid.floor_value(v) for v in p]), profile)
         drop = exact - floored
         assert -1e-9 <= drop <= eps1 * n + 1e-9
         worst = max(worst, drop / (eps1 * n))
@@ -250,6 +250,7 @@ def test_criterion_08_rounding_claim():
             fractional[:, 0] = np.floor(fractional[:, 0])
         rounded = round_assignment(fractional, spec)
         X = rounded.X
+        ext = AssignmentSpec(rounded.levels, spec.freqs, spec.col_counts)
         R, J = spec.shape
         # Column sums restored exactly.
         assert np.array_equal(X[:, 1:].sum(axis=0).astype(int), spec.col_counts)
@@ -257,7 +258,7 @@ def test_criterion_08_rounding_claim():
         # only mass the floor step may drop; exact when they are integral).
         dropped = spec.levels.T @ (fractional[:, 0] - np.floor(fractional[:, 0] + 1e-9))
         assert np.allclose(
-            rounded.spec_ext.budget_use(X) + dropped,
+            ext.budget_use(X) + dropped,
             spec.budget_use(fractional),
             atol=1e-12,
         )
@@ -269,7 +270,7 @@ def test_criterion_08_rounding_claim():
         # Probability term never decreases (per coordinate).
         for k in range(spec.dim):
             before = (fractional @ spec.freqs[:, k]) @ np.log(spec.levels[:, k])
-            after = (X @ rounded.spec_ext.freqs[:, k]) @ np.log(rounded.spec_ext.levels[:, k])
+            after = (X @ ext.freqs[:, k]) @ np.log(ext.levels[:, k])
             assert after >= before - 1e-9
         checked += 1
     print(f"criterion 8 PASS: {checked} roundings satisfy the claim")
@@ -401,7 +402,7 @@ def test_criterion_11_estimator_identities():
     for draws in (1, 3, 50):
         assert support_coverage(point, draws) == pytest.approx(1.0, abs=1e-12)
     assert support_size(point) == 1
-    identical = PairedLevelSetDistribution(
+    identical = LevelSetDistribution(
         np.array([[0.5, 0.5], [0.3, 0.3], [0.2, 0.2]]), np.array([1, 1, 1])
     )
     assert kl_plugin(identical) == pytest.approx(0.0, abs=1e-12)

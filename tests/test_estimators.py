@@ -6,7 +6,6 @@ import pytest
 from pml import (
     AssignmentSpec,
     LevelSetDistribution,
-    PairedLevelSetDistribution,
     distance_to_uniformity,
     entropy,
     kl_plugin,
@@ -73,17 +72,17 @@ def test_distance_to_uniformity():
 
 
 def test_kl_plugin_examples():
-    same = PairedLevelSetDistribution(np.array([[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]]),
+    same = LevelSetDistribution(np.array([[0.5, 0.5], [0.25, 0.25], [0.25, 0.25]]),
                                       np.array([1, 1, 1]))
     assert kl_plugin(same) == pytest.approx(0.0, abs=1e-12)
 
-    mixed = PairedLevelSetDistribution(np.array([[0.5, 0.25], [0.5, 0.75]]), np.array([1, 1]))
+    mixed = LevelSetDistribution(np.array([[0.5, 0.25], [0.5, 0.75]]), np.array([1, 1]))
     assert kl_plugin(mixed) == pytest.approx(0.5 * math.log(2) + 0.5 * math.log(2 / 3))
 
-    with_zero = PairedLevelSetDistribution(np.array([[0.0, 0.5], [1.0, 0.5]]), np.array([1, 1]))
+    with_zero = LevelSetDistribution(np.array([[0.0, 0.5], [1.0, 0.5]]), np.array([1, 1]))
     assert kl_plugin(with_zero) == pytest.approx(1.0 * math.log(1 / 0.5))
 
-    infinite = PairedLevelSetDistribution(np.array([[0.5, 0.0], [0.5, 1.0]]), np.array([1, 1]))
+    infinite = LevelSetDistribution(np.array([[0.5, 0.0], [0.5, 1.0]]), np.array([1, 1]))
     with pytest.raises(ValueError):
         kl_plugin(infinite)
 
@@ -91,7 +90,7 @@ def test_kl_plugin_examples():
 def test_level_merging_and_ordering():
     dist = LevelSetDistribution(np.array([0.25, 0.5, 0.25]), np.array([1, 1, 1]))
     assert dist.as_pairs() == ((0.5, 1.0), (0.25, 2.0))
-    paired = PairedLevelSetDistribution(
+    paired = LevelSetDistribution(
         np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([1, 2])
     )
     assert len(paired) == 1
@@ -104,7 +103,7 @@ def test_dense_expansion():
 
 
 def test_normalize_paired_per_coordinate():
-    paired = PairedLevelSetDistribution(np.array([[0.25, 0.1], [0.25, 0.3]]), np.array([1, 1]))
+    paired = LevelSetDistribution(np.array([[0.25, 0.1], [0.25, 0.3]]), np.array([1, 1]))
     out = normalize(paired)
     assert np.allclose(out.total_mass, [1.0, 1.0])
     assert out.values[:, 0].tolist() == [0.5, 0.5]
@@ -116,11 +115,11 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         LevelSetDistribution(np.array([0.5]), np.array([0]))
     with pytest.raises(ValueError):
-        PairedLevelSetDistribution(np.array([[0.0, 0.0]]), np.array([1]))
+        LevelSetDistribution(np.array([[0.0, 0.0]]), np.array([1]))
 
 
 def test_one_sequence_estimators_refuse_joint_distributions():
-    joint = PairedLevelSetDistribution(np.array([[0.5, 0.25], [0.25, 0.375]]), np.array([1, 2]))
+    joint = LevelSetDistribution(np.array([[0.5, 0.25], [0.25, 0.375]]), np.array([1, 2]))
     assert joint.dim == 2
     for estimate in (entropy, lambda d: support_coverage(d, 3),
                      lambda d: distance_to_uniformity(d, 5)):
@@ -131,7 +130,7 @@ def test_one_sequence_estimators_refuse_joint_distributions():
 
 
 def test_support_size_of_a_joint_distribution_counts_its_elements():
-    joint = PairedLevelSetDistribution(
+    joint = LevelSetDistribution(
         np.array([[0.5, 0.0], [0.0, 0.5], [0.25, 0.25]]), np.array([1, 1, 2])
     )
     assert support_size(joint) == 4
@@ -143,4 +142,4 @@ def test_validation_refuses_nan_values_and_counts():
     with pytest.raises(ValueError):
         LevelSetDistribution(np.array([0.5]), np.array([np.nan]))
     with pytest.raises(ValueError):
-        PairedLevelSetDistribution(np.array([[0.5, np.nan]]), np.array([1]))
+        LevelSetDistribution(np.array([[0.5, np.nan]]), np.array([1]))

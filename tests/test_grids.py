@@ -7,7 +7,6 @@ from pml import (
     Profile,
     build_frequency_grid,
     build_probability_grid,
-    discretize_distribution,
     discretize_profile,
     profile_logprob,
     profile_of_sequence,
@@ -119,20 +118,22 @@ def test_frequency_grid_contains_endpoints():
         assert grid.max_value == n
 
 
-def test_discretize_distribution_examples():
+def test_floor_value_examples():
     grid = build_probability_grid(10, 0.5)
-    disc = discretize_distribution([0.6, 0.4], grid)
-    assert disc.levels() == {1.5**-2: 1, 1.5**-3: 1}
-    assert disc.total_mass() == pytest.approx(1.5**-2 + 1.5**-3)
-
-    point = discretize_distribution([1.0], grid)
-    assert point.levels() == {1.0: 1}
+    assert grid.floor_value(0.6) == 1.5**-2
+    assert grid.floor_value(0.4) == 1.5**-3
+    assert grid.floor_value(1.0) == 1.0
+    assert grid.floor_index(1.0) == grid.size - 1
 
     fine = build_probability_grid(2, 0.01)
-    disc2 = discretize_distribution([0.5, 0.5], fine)
-    (value, count), = disc2.levels().items()
-    assert count == 2
+    value = fine.floor_value(0.5)
     assert value <= 0.5 < value * 1.01
+
+    # Below the grid, and at zero, there is no level to floor onto.
+    coarse = build_probability_grid(5, 1.0)
+    for below in (coarse.values[0] / 3, 0.0):
+        assert coarse.floor_index(below) == -1
+        assert coarse.floor_value(below) == 0.0
 
 
 def test_discretize_floor_bound_and_idempotence():
@@ -145,14 +146,6 @@ def test_discretize_floor_bound_and_idempotence():
         assert floored <= c * (1 + 1e-12)
         assert floored >= c / (1 + eps)
         assert grid.floor_value(floored) == floored
-
-
-def test_discretize_drops_tiny_mass():
-    grid = build_probability_grid(5, 1.0)
-    tiny = grid.values[0] / 3
-    disc = discretize_distribution([1 - tiny, tiny], grid)
-    assert disc.dropped_mass == pytest.approx(tiny)
-    assert list(disc.levels().values()) == [1]
 
 
 def test_discretize_profile_examples():
@@ -200,7 +193,7 @@ def test_probability_discretization_sandwich_small_sample():
         profile = random_profile(rng, n, alphabet)
         grid = build_probability_grid(n, eps)
         exact = profile_logprob(p, profile)
-        floored = profile_logprob(discretize_distribution(p, grid).to_values(), profile)
+        floored = profile_logprob(np.array([grid.floor_value(v) for v in p]), profile)
         assert exact + 1e-9 >= floored
         assert floored >= exact - eps * n - 1e-9
 

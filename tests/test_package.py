@@ -43,8 +43,8 @@ def test_profile_loads_no_solver(tmp_path):
     path = tmp_path / "samples.txt"
     path.write_text("a\nb\na\n")
     loaded = loaded_after(["profile", str(path)])
-    assert "pml.solver" not in loaded
-    assert "pml.exact" not in loaded
+    for module in ("solver", "exact", "assignment", "rounding", "combinatorics"):
+        assert f"pml.{module}" not in loaded
 
 
 def test_every_public_name_is_its_defining_submodules_object():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pml import (
+    AssignmentSpec,
     GridSearchConfig,
     Profile,
     approximate_pml,
@@ -100,10 +101,10 @@ def test_single_assignment_term_lower_bounds_levelset_probability(rng):
         ]
         disc_profile = Profile(tuple(pairs))
         whole = pml.levelset_profile_logprob(
-            rounded.spec_ext.levels[rows > 0, 0], rows[rows > 0].astype(int), disc_profile
+            rounded.levels[rows > 0, 0], rows[rows > 0].astype(int), disc_profile
         )
         one_term = pml.log_profile_coefficient(disc_profile) + pml.log_weight(
-            rounded.X, rounded.spec_ext
+            rounded.X, pml.AssignmentSpec(rounded.levels, spec.freqs, spec.col_counts)
         )
         assert whole >= one_term - 1e-9
 
@@ -178,6 +179,24 @@ def test_joint_estimate_holds_few_level_by_column_arrays():
     assert diag.certified
     assert (diag.num_levels, diag.num_freqs + 1) == (4913, 15)
     assert peak <= 6 * diag.num_levels * (diag.num_freqs + 1) * 8
+
+
+def test_estimate_builds_one_assignment_spec(monkeypatch):
+    # Each spec carries a coefficient table of levels by columns; rounding
+    # scores its output on the solve's spec instead of building a second.
+    built = []
+    post_init = AssignmentSpec.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AssignmentSpec, "__post_init__", counting)
+    for profile in (d_profile_of(["abacabd"]), d_profile_of(["aabbc", "abccd"])):
+        built.clear()
+        _, diag = approximate_pml_d(profile)
+        assert diag.certified
+        assert len(built) == 1
 
 
 def test_heavy_symbol_with_three_singletons_certifies():
