@@ -9,7 +9,6 @@ divergence needs d = 2, and the other estimators need d = 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +106,6 @@ class LevelSetDistribution:
         return {"levels": [list(pair) for pair in self.as_pairs()],
                 "mass": np.asarray(self.total_mass).tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def normalize(dist: LevelSetDistribution) -> LevelSetDistribution:
     """Scale level values so every coordinate's mass is exactly one."""
@@ -130,7 +126,8 @@ def _require(dist: LevelSetDistribution, what: str, dim: int | None = None) -> N
 def entropy(dist: LevelSetDistribution) -> float:
     """Shannon entropy in nats: -sum count * value * log(value)."""
     _require(dist, "entropy", dim=1)
-    return float(-(dist.counts * dist.values * np.log(dist.values)).sum())
+    # Subtracted from 0.0, so a point mass has entropy +0.0 and not -0.0.
+    return float(0.0 - (dist.counts * dist.values * np.log(dist.values)).sum())
 
 
 def support_size(dist: LevelSetDistribution) -> int:

@@ -9,7 +9,6 @@ it, stretching the sample length by at most ``1 + eps``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -90,12 +89,6 @@ class ProbabilityGrid:
         idx = self.floor_index(value)
         return 0.0 if idx < 0 else float(self.values[idx])
 
-    def to_dict(self) -> dict:
-        return {"eps": self.eps, "exponents": list(range(1 - self.size, 1))}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
@@ -128,12 +121,6 @@ class FrequencyGrid:
 
     def ceil_value(self, freq: int) -> int:
         return int(self.values[self.ceil_index(freq)])
-
-    def to_dict(self) -> dict:
-        return {"eps": self.eps, "values": [int(v) for v in self.values]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def build_probability_grid(n: int, eps: float) -> ProbabilityGrid:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -49,38 +49,35 @@ class DProfile:
     """Counts of domain elements per d-tuple of frequencies.
 
     ``entries`` maps each observed frequency tuple (nonzero somewhere) to a
-    positive count; ``n`` is the tuple of per-coordinate sample lengths.
+    positive count. The dimension ``d`` and the tuple ``n`` of per-coordinate
+    sample lengths are read off the entries; every coordinate needs a sample.
     """
 
     entries: tuple[tuple[tuple[int, ...], int], ...]
-    n: tuple[int, ...]
+    d: int = field(init=False, compare=False)
+    n: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         merged: Counter = Counter()
-        d = len(self.n)
-        if not 1 <= d <= MAX_DIM:
-            raise ValueError(f"dimension must be between 1 and {MAX_DIM}")
         for freqs, count in self.entries:
             freqs = tuple(freqs)
-            if len(freqs) != d or not all(is_whole(f) and f >= 0 for f in freqs) or not any(freqs):
+            if not all(is_whole(f) and f >= 0 for f in freqs) or not any(freqs):
                 raise ValueError(f"bad frequency tuple {freqs!r}")
-            freqs = tuple(int(f) for f in freqs)
             if not is_whole(count) or count < 1:
-                raise ValueError("counts must be positive integers")
-            merged[freqs] += int(count)
+                raise ValueError(f"counts must be positive integers, got {count!r}")
+            merged[tuple(int(f) for f in freqs)] += int(count)
         if not merged:
             raise ValueError("empty d-profile")
-        lengths = tuple(
-            int(sum(f[k] * c for f, c in merged.items())) for k in range(d)
-        )
-        if lengths != tuple(int(v) for v in self.n):
-            raise ValueError(f"lengths {lengths} do not match declared n {self.n}")
+        dims = {len(f) for f in merged}
+        d = dims.pop()
+        if dims or not 1 <= d <= MAX_DIM:
+            raise ValueError(f"frequency tuples must share one length between 1 and {MAX_DIM}")
+        n = tuple(sum(f[k] * c for f, c in merged.items()) for k in range(d))
+        if 0 in n:
+            raise ValueError(f"coordinate {n.index(0)} has no sample")
         object.__setattr__(self, "entries", tuple(sorted(merged.items(), reverse=True)))
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-
-    @property
-    def d(self) -> int:
-        return len(self.n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
 
     @property
     def num_observed(self) -> int:
@@ -99,7 +96,7 @@ class DProfile:
 
     @classmethod
     def from_profile(cls, profile: Profile) -> "DProfile":
-        return cls(tuple(((f,), c) for f, c in profile.pairs), (profile.n,))
+        return cls(tuple(((f,), c) for f, c in profile.pairs))
 
     def to_dict(self) -> dict:
         return {
@@ -117,19 +114,10 @@ class DProfile:
             entries = tuple((tuple(f), c) for f, c in data["entries"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed d-profile data: {exc}") from exc
-        if not is_whole(d):
-            raise ValueError(f"d must be an integer, got {d!r}")
-        if not 1 <= d <= MAX_DIM:  # before the d-long tuples below are built
-            raise ValueError(f"dimension must be between 1 and {MAX_DIM}")
-        for f, c in entries:
-            if len(f) != d or not all(map(is_whole, f)):
-                raise ValueError(f"bad frequency tuple {f!r}")
-            if not is_whole(c):
-                raise ValueError(f"counts must be positive integers, got {c!r}")
-        lengths = tuple(
-            int(sum(f[k] * c for f, c in entries)) for k in range(int(d))
-        )
-        return cls(entries, lengths)
+        dprofile = cls(entries)
+        if not is_whole(d) or d != dprofile.d:
+            raise ValueError(f"d must equal the frequency tuples' length {dprofile.d}, got {d!r}")
+        return dprofile
 
     @classmethod
     def from_json(cls, text: str) -> "DProfile":
@@ -141,15 +129,11 @@ def d_profile_of(sequences: Sequence[Iterable[Hashable]]) -> DProfile:
     if not 1 <= len(sequences) <= MAX_DIM:
         raise ValueError(f"need between 1 and {MAX_DIM} sequences")
     counters = [Counter(seq) for seq in sequences]
-    for k, counter in enumerate(counters):
-        if not counter:
-            raise ValueError(f"sequence {k} is empty")
     symbols = set().union(*counters)
     tuples = Counter(
         tuple(counter[sym] for counter in counters) for sym in symbols
     )
-    lengths = tuple(sum(c.values()) for c in counters)
-    return DProfile(tuple(tuples.items()), lengths)
+    return DProfile(tuple(tuples.items()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -186,7 +186,7 @@ def approximate_pml_d(
         freqs=np.vstack([np.zeros((1, d)), freqs]),
         col_counts=col_counts,
     )
-    disc_profile = DProfile(tuple(zip(map(tuple, freqs), col_counts)), n_disc)
+    disc_profile = DProfile(tuple(zip(map(tuple, freqs), col_counts)))
     if delta is None:
         delta = solver.default_delta(spec)
     num_levels, num_freqs = spec.num_levels, spec.num_cols - 1

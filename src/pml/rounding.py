@@ -57,7 +57,8 @@ def round_assignment(fractional: np.ndarray, spec: AssignmentSpec) -> RoundedSol
     X = np.zeros((R + cols, J))
     floors = X[:R]  # floored in place: X, the input and frac are the only full-size arrays
     np.floor(np.add(X_frac, SNAP, out=floors), out=floors)
-    frac = X_frac - floors  # may be ~-1e-9 where SNAP rounded a cell up
+    np.maximum(floors, 0.0, out=floors)  # a feasible entry may be as low as -tol
+    frac = X_frac - floors  # ~-1e-9 where SNAP rounded a cell up or a cell was raised to 0
 
     residuals = np.rint(spec.col_counts - floors[:, 1:].sum(axis=0)).astype(np.int64)
     if np.any(residuals < 0):

@@ -322,10 +322,7 @@ def _discretized_d_profile(dp: DProfile, grids) -> DProfile:
             for grid, f in zip(grids.freq_grids, freqs)
         )
         entries[key] = entries.get(key, 0) + count
-    lengths = tuple(
-        sum(k[i] * c for k, c in entries.items()) for i in range(dp.d)
-    )
-    return DProfile(tuple(entries.items()), lengths)
+    return DProfile(tuple(entries.items()))
 
 
 def test_criterion_10_multidimensional():

@@ -246,6 +246,10 @@ def test_estimate_multiple_profiles(tmp_path, runner):
          ["--property", "support", "--property", "kl"], 0),
         # A huge d is refused before anything d long is built.
         ("estimate-d", '{"d": 1000000000000, "entries": []}', [], 1),
+        # A coordinate with no sample, and tuples of two lengths.
+        ("estimate-d", '{"d": 2, "entries": [[[1, 0], 2]]}', [], 1),
+        ("estimate-d", '{"d": 3, "entries": [[[0, 0, 1], 1]]}', [], 1),
+        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1], [[1], 1]]}', [], 1),
     ],
 )
 def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, args, code):

@@ -45,6 +45,7 @@ def test_entropy_examples():
     for k in (1, 4, 17):
         assert entropy(levelset([(1 / k, k)])) == pytest.approx(math.log(k), abs=1e-12)
     assert entropy(levelset([(1.0, 1)])) == pytest.approx(0.0)
+    assert math.copysign(1.0, entropy(levelset([(1.0, 1)]))) == 1.0  # +0.0, not -0.0
     mixed = levelset([(0.5, 1), (0.25, 2)])
     assert entropy(mixed) == pytest.approx(0.5 * math.log(2) + 0.5 * math.log(4))
 

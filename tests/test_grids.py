@@ -200,6 +200,7 @@ def test_probability_discretization_sandwich_small_sample():
 
 def test_grid_json():
     pgrid = build_probability_grid(4, 1.0)
-    assert pgrid.to_dict() == {"eps": 1.0, "exponents": [-5, -4, -3, -2, -1, 0]}
+    assert len(pgrid) == 6
+    assert np.array_equal(pgrid.values, 2.0 ** np.arange(-5, 1))
     fgrid = build_frequency_grid(4, 1.0)
-    assert fgrid.to_dict() == {"eps": 1.0, "values": [1, 2, 3, 4]}
+    assert fgrid.values.tolist() == [1, 2, 3, 4]

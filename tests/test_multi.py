@@ -70,6 +70,45 @@ def test_d_profile_json_round_trip():
     assert dp.to_dict() == {"d": 2, "entries": [[[1, 2], 1], [[1, 0], 1]]}
 
 
+def test_d_profile_lengths_and_dimension_come_from_the_entries():
+    dp = DProfile((((2, 0, 1), 3), ((1, 1, 0), 2), ((2, 0, 1), 1)))
+    assert dp.entries == (((2, 0, 1), 4), ((1, 1, 0), 2))
+    assert dp.d == 3
+    assert dp.n == (10, 2, 4)
+    # Equal entries are equal profiles, however they were written.
+    assert dp == DProfile((((1, 1, 0), 2), ((2, 0, 1), 4)))
+    assert hash(dp) == hash(DProfile(dp.entries))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (((1, 0), 2),),  # the second coordinate has no sample
+        (((0, 0, 1), 1), ((0, 1, 0), 3)),  # nor has the first
+        (((1, 1), 1), ((1,), 1)),  # tuples of two lengths
+        (((1, 1, 1, 1), 1),),  # d = 4
+        (),
+    ],
+)
+def test_d_profile_refuses_bad_entries(entries):
+    with pytest.raises(ValueError):
+        DProfile(entries)
+    with pytest.raises(ValueError):
+        DProfile.from_dict({"d": 2, "entries": [[list(f), c] for f, c in entries]})
+
+
+def test_d_profile_of_refuses_an_empty_sequence():
+    with pytest.raises(ValueError, match="coordinate 1 has no sample"):
+        d_profile_of(["ab", ""])
+
+
+@pytest.mark.parametrize("d", [3, 1, True, 2.5, "2", None])
+def test_d_profile_from_dict_refuses_a_d_unlike_the_tuples(d):
+    with pytest.raises(ValueError):
+        DProfile.from_dict({"d": d, "entries": [[[1, 2], 1]]})
+    assert DProfile.from_dict({"d": 2.0, "entries": [[[1, 2], 1]]}).d == 2
+
+
 def test_exact_d_reduces_to_one_dimensional():
     rng = make_rng(21)
     for _ in range(20):

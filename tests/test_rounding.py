@@ -25,6 +25,17 @@ def test_integral_input_passes_through():
     assert np.all(rounded.X[2:] == 0)
 
 
+def test_entries_just_below_zero_floor_to_zero():
+    # is_feasible at tol 1e-8 accepts the -5e-9 entry; flooring it to -1 made
+    # log_weight refuse the rounded assignment.
+    spec = AssignmentSpec(levels=[0.25, 0.5, 1], freqs=[0, 1], col_counts=[1])
+    X = np.array([[0.0, 1.0], [-5e-9, 0.0], [0.0, 0.0]])
+    assert is_feasible(X, spec, tol=1e-8)
+    rounded = round_assignment(X, spec)
+    assert np.array_equal(rounded.X[:3], [[0, 1], [0, 0], [0, 0]])
+    assert rounded.log_weight == pytest.approx(log_weight(rounded.X, extended_spec(rounded, spec)))
+
+
 def test_single_column_half_split():
     spec = AssignmentSpec(levels=[0.5, 0.25], freqs=[0, 1], col_counts=[1])
     fractional = np.array([[0.0, 0.5], [0.0, 0.5]])
