@@ -163,7 +163,10 @@ def cmd_profile(samples, output):
     if len(sequences) == 1:
         data = profile_of_sequence(sequences[0]).to_dict()
     else:
-        data = d_profile_of(sequences).to_dict()
+        try:
+            data = d_profile_of(sequences).to_dict()
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from None
     _emit(data, output, "json")
 
 

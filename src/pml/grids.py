@@ -133,10 +133,11 @@ def build_probability_grid(n: int, eps: float) -> ProbabilityGrid:
         raise ValueError("probability grid needs n >= 2")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    floor_target = 1.0 / (2 * n * n)
-    steps = math.log(2 * n * n) / math.log1p(eps)
+    # log(2 n^2) with no float of n, which overflows past 1.8e308.
+    steps = (math.log(2) + 2 * math.log(n)) / math.log1p(eps)
     # Checked first: the guards below never end once 1 + eps rounds to 1.
     check_level_count(steps + 1)
+    floor_target = 1.0 / (2 * n * n)
     k = max(1, math.ceil(steps))
     # Guard against float error around the boundary: k must be minimal with
     # (1+eps)^(-k) <= floor_target.

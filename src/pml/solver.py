@@ -21,6 +21,18 @@ keeps a tenth of it for the next step, not a hundredth: the next step
 mostly needs the same damping, and a hundredfold fall paid two rejected
 trials to climb back (see :func:`_descend`).
 
+From the third stage on, a stage starts from the central path extrapolated
+linearly in t through the last two stage ends, ``mu_k + 0.1 (mu_k -
+mu_{k-1})``, if ``F_t`` is lower there than at ``mu_k``. The 0.1 is
+``(t_{k+1} - t_k) / (t_k - t_{k-1})`` for the tenfold schedule, not a tuned
+constant. Started at ``mu_k``, where the Newton decrement of the new stage
+is 1e5 to 1e9 at Zipf n = 10 000, each stage took 20 to 28 damped steps
+before its quadratic phase; that solve took 160 steps, and 117 from the
+extrapolated starts. A stage that takes no step from its extrapolated start
+reruns from ``mu_k``: the point can be lower in ``F_t`` and still leave the
+damped steps stuck, and ``[[200, 1], [100, 1]]`` at eps = 0.5 then ended
+uncertified.
+
 Both Newton solves are value first: a trial point gets only its value, and
 the gradient and Hessian are built from the state of a point once it is
 accepted (most trials are rejected). A value call takes one ``exp`` over the
@@ -494,11 +506,12 @@ class _ReducedDual:
 def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResult:
     """Damped-Newton continuation on the smoothed dual, with a certified gap.
 
-    Each stage runs Newton steps in mu until they stop decreasing the smoothed
-    dual, then scores its smoothed primal and its repaired dual bound. The
-    solve stops once the certified gap drops below ``config.delta``; a gap
-    still above it when the stages or the ``config.max_iters`` Newton steps
-    run out flags the result non-certified. It runs on the observed columns
+    Each stage runs Newton steps in mu, from the last stage's end point or the
+    extrapolated central path (see the module), until they stop decreasing
+    the smoothed dual, then scores its smoothed primal and its repaired dual
+    bound. The solve stops once the certified gap drops below
+    ``config.delta``; a gap still above it when the stages or the
+    ``config.max_iters`` Newton steps run out flags the result non-certified. It runs on the observed columns
     and returns its point in the caller's shape, zero on the empty columns.
 
     Level-by-column arrays: the spec's table (``_ReducedDual.C`` is a view of
@@ -525,11 +538,21 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
 
     # Start each column on its nearest level, as the start places it before any blend.
     mu = dual.C[nearest, np.arange(dual.c.size)] - np.log(dual.c)
-    bound, steps, tau = np.inf, 0, 0.0
+    bound, steps, tau, previous = np.inf, 0, 0.0, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_STAGES):
-            mu, (lam_t, a, W, rows, P), taken, tau = _descend(
-                dual.value, dual.derivatives, mu, config.max_iters - steps, tau=tau)
+        for stage in range(_STAGES):
+            start = mu
+            if previous is not None:  # the central path, extrapolated linearly in t
+                ahead = mu + 0.1 * (mu - previous)  # 0.1 = t's fall per stage (see the module)
+                if dual.value(ahead)[0] < dual.value(mu)[0]:
+                    start = ahead
+            new_mu, (lam_t, a, W, rows, P), taken, tau = _descend(
+                dual.value, dual.derivatives, start, config.max_iters - steps, tau=tau)
+            if taken == 0 and start is not mu:  # stuck at the extrapolation: rerun from mu
+                del P  # no second P while the rerun runs
+                new_mu, (lam_t, a, W, rows, P), taken, tau = _descend(
+                    dual.value, dual.derivatives, mu, config.max_iters - steps, tau=tau)
+            previous, mu = (mu if stage else None), new_mu
             steps += taken
             X = dual.scratch  # C - mu is not read again: the candidate is built there
             X.fill(0.0)

@@ -55,6 +55,14 @@ def test_profile_two_files_emits_joint_profile(tmp_path, runner):
     assert json.loads(result.output) == {"d": 2, "entries": [[[1, 2], 1], [[1, 0], 1]]}
 
 
+def test_profile_of_four_files_exits_cleanly(tmp_path, runner):
+    samples = write(tmp_path, "s.txt", "a\nb\n")
+    result = runner.invoke(main, ["profile", samples, samples, samples, samples])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.strip().splitlines() == ["Error: need between 1 and 3 sequences"]
+
+
 def test_estimate_round_trip_and_fields(tmp_path, runner):
     samples = write(tmp_path, "s.txt", "a\nb\na\nb\nc\n")
     profile_json = runner.invoke(main, ["profile", samples]).output
@@ -250,6 +258,9 @@ def test_estimate_multiple_profiles(tmp_path, runner):
         ("estimate-d", '{"d": 2, "entries": [[[1, 0], 2]]}', [], 1),
         ("estimate-d", '{"d": 3, "entries": [[[0, 0, 1], 1]]}', [], 1),
         ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1], [[1], 1]]}', [], 1),
+        # A count of 1e300 makes n too large for a float; the grid is refused first.
+        ("estimate", '{"pairs": [[1, 1e300]]}', [], 1),
+        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1e300]]}', [], 1),
     ],
 )
 def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, args, code):

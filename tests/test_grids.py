@@ -43,7 +43,9 @@ def test_probability_grid_validation():
 def test_oversized_probability_grid_is_refused_before_it_is_built():
     # Each call below would allocate gigabytes (or loop forever once 1 + eps
     # rounds to 1) if the refusal came after the build.
-    for n, eps in ((5, 1e-9), (5, 1e-300), (5, 5e-324), (10**5, 1e-5)):
+    # n = 10**300 at its default eps = n^(-1/3) is refused before 2 n^2, which
+    # is too large for a float, is formed.
+    for n, eps in ((5, 1e-9), (5, 1e-300), (5, 5e-324), (10**5, 1e-5), (10**300, 1e-100)):
         with pytest.raises(GridSizeError, match="levels"):
             build_probability_grid(n, eps)
     assert issubclass(GridSizeError, ValueError)

@@ -6,6 +6,7 @@ import pytest
 
 from pml import (
     AssignmentSpec,
+    DProfile,
     GridSearchConfig,
     Profile,
     approximate_pml,
@@ -143,10 +144,13 @@ def zipf(k: int, shift: int = 0) -> np.ndarray:
 
 def test_zipf_n10000_certifies_at_default_delta():
     # n = 10 000 draws from Zipf(1) over k = 5 000 symbols: 423 levels and
-    # 56 observed frequencies on the default grids.
+    # 56 observed frequencies on the default grids. Started from the last
+    # stage's end point, each stage took 20 to 28 damped steps, 160 in all;
+    # started from the extrapolated central path, 117.
     sample = np.random.default_rng(0).choice(5000, size=10_000, p=zipf(5000))
     dist, diag = approximate_pml(profile_of_sequence(sample.tolist()))
     assert diag.certified
+    assert diag.solver_iterations <= 130
     assert 0 <= diag.solver_gap <= diag.delta
     assert dist.counts @ dist.values == pytest.approx(1.0)
 
@@ -160,6 +164,18 @@ def test_zipf_pair_n100_certifies_at_default_delta():
     assert diag.certified
     assert 0 <= diag.solver_gap <= diag.delta
     assert dist.counts @ dist.values == pytest.approx(np.ones(2))
+
+
+@pytest.mark.parametrize("entries", [
+    [[[211, 86], 1], [[89, 214], 1]],
+    [[[30, 0], 1], [[0, 30], 1]],
+])
+def test_two_symbol_pairs_certify(entries):
+    # Each stage started from the last stage's end point, these stalled short
+    # of the step budget at gaps of 10.6 and 11.3 times delta, after 51 and
+    # 57 steps; started from the extrapolated central path they certify.
+    _, diag = approximate_pml_d(DProfile.from_dict({"d": 2, "entries": entries}))
+    assert diag.certified
 
 
 def test_joint_estimate_holds_few_level_by_column_arrays():
@@ -253,7 +269,10 @@ def test_few_symbols_certify(k, n, eps):
     # The observed columns of every stage's smoothed primal overshot the
     # budget on their own, so no stage gave a feasible point and only the
     # start was scored: 10 of these 80 ended uncertified, [[67, 1], [33, 1]]
-    # at gap 1.25 against delta 4.6e-4.
+    # at gap 1.25 against delta 4.6e-4. [[100, 1], [200, 1]] at eps = 0.5 has
+    # a stage that takes no step from its extrapolated start, and ended at
+    # gap 1.97e-3 against delta 1.85e-3 until such a stage reran from the
+    # last stage's end point.
     freqs = [n * i // (k * (k + 1) // 2) for i in range(1, k)]
     profile = Profile(tuple((f, 1) for f in freqs + [n - sum(freqs)]))
     kwargs = {} if eps is None else {"eps1": eps, "eps2": eps}
