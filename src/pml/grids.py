@@ -17,6 +17,7 @@ import numpy as np
 from .profiles import Profile
 
 __all__ = [
+    "MAX_LENGTH",
     "MAX_LEVELS",
     "GridSizeError",
     "ProbabilityGrid",
@@ -39,8 +40,14 @@ _BOUNDARY_SNAP = 1e-12
 MAX_LEVELS = 1_000_000
 
 
+# Refusal limit on a sample length: frequency values and the discretized
+# length, at most (1 + eps) n < 2^63, are int64.
+MAX_LENGTH = 2**62 - 1
+
+
 class GridSizeError(ValueError):
-    """The requested probability or frequency grid has more values than :data:`MAX_LEVELS`."""
+    """The requested probability or frequency grid has more values than
+    :data:`MAX_LEVELS`, or a sample length above :data:`MAX_LENGTH`."""
 
 
 def check_level_count(count: int) -> None:
@@ -49,6 +56,13 @@ def check_level_count(count: int) -> None:
         raise GridSizeError(
             f"the probability grid would have {count:.3g} levels, more than the limit "
             f"of {MAX_LEVELS}; use a larger eps1")
+
+
+def check_length(n: int) -> None:
+    """Raise :class:`GridSizeError` when a sample length ``n`` exceeds :data:`MAX_LENGTH`."""
+    if n > MAX_LENGTH:
+        raise GridSizeError(
+            f"the sample length {n:.3g} is above the limit of {MAX_LENGTH} that the grids hold")
 
 
 def check_frequency_count(count: int) -> None:
@@ -127,7 +141,8 @@ def build_probability_grid(n: int, eps: float) -> ProbabilityGrid:
     """Smallest ladder whose bottom value is at most 1/(2 n^2).
 
     Raises :class:`GridSizeError`, before allocating anything, when that
-    ladder would be longer than :data:`MAX_LEVELS`.
+    ladder would be longer than :data:`MAX_LEVELS` or n exceeds
+    :data:`MAX_LENGTH`.
     """
     if n < 2:
         raise ValueError("probability grid needs n >= 2")
@@ -137,6 +152,7 @@ def build_probability_grid(n: int, eps: float) -> ProbabilityGrid:
     steps = (math.log(2) + 2 * math.log(n)) / math.log1p(eps)
     # Checked first: the guards below never end once 1 + eps rounds to 1.
     check_level_count(steps + 1)
+    check_length(n)  # so that 2 n^2 is a float
     floor_target = 1.0 / (2 * n * n)
     k = max(1, math.ceil(steps))
     # Guard against float error around the boundary: k must be minimal with
@@ -152,12 +168,14 @@ def build_frequency_grid(n: int, eps: float) -> FrequencyGrid:
     """Integer run up to ceil(1/eps), geometric ceil-ladder after, and n.
 
     Raises :class:`GridSizeError`, before building anything, when the run and
-    the ladder's steps come to more than :data:`MAX_LEVELS` values.
+    the ladder's steps come to more than :data:`MAX_LEVELS` values or n
+    exceeds :data:`MAX_LENGTH`.
     """
     if n < 1:
         raise ValueError("frequency grid needs n >= 1")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
+    check_length(n)
     run = n if 1.0 / eps >= n else math.ceil(1.0 / eps)  # 1/eps may overflow
     ratio = 1.0 + eps / 2.0
     # The ladder and n follow the run only when 1/eps < n. Once the check has

@@ -21,17 +21,35 @@ keeps a tenth of it for the next step, not a hundredth: the next step
 mostly needs the same damping, and a hundredfold fall paid two rejected
 trials to climb back (see :func:`_descend`).
 
-From the third stage on, a stage starts from the central path extrapolated
-linearly in t through the last two stage ends, ``mu_k + 0.1 (mu_k -
-mu_{k-1})``, if ``F_t`` is lower there than at ``mu_k``. The 0.1 is
-``(t_{k+1} - t_k) / (t_k - t_{k-1})`` for the tenfold schedule, not a tuned
-constant. Started at ``mu_k``, where the Newton decrement of the new stage
-is 1e5 to 1e9 at Zipf n = 10 000, each stage took 20 to 28 damped steps
-before its quadratic phase; that solve took 160 steps, and 117 from the
-extrapolated starts. A stage that takes no step from its extrapolated start
-reruns from ``mu_k``: the point can be lower in ``F_t`` and still leave the
-damped steps stuck, and ``[[200, 1], [100, 1]]`` at eps = 0.5 then ended
-uncertified.
+Each stage after the first (from the third on, at two or three budgets)
+starts from a prediction of its point of the central path, if ``F_t`` is
+lower there than at the last stage's end ``mu_k``; the prediction's value
+state is then handed to the descent, so the start is evaluated once. A stage that takes no step from the prediction reruns from
+``mu_k``: the point can be lower in ``F_t`` and still leave the damped steps
+stuck, and ``[[200, 1], [100, 1]]`` at eps = 0.5 then ended uncertified.
+
+At one budget the prediction is the path's tangent (the predictor step of
+predictor-corrector path following). There lam has the closed form
+``t logsumexp(x)`` with ``x_i = W_i / (level_i t)``, so at fixed mu the
+smoothed primal rows ``a = softmax(x) / level`` move as
+``da/dt = -(1/t) a (x - xbar)``, ``xbar`` the softmax mean of x. The end
+point's gradient ``c - P^T a`` is zero, and only ``a`` depends on t, so
+``dmu/dt = H^-1 P^T da/dt`` with the reduced Hessian ``H`` that the descent
+already built there (solved at its least damping), and the tenfold fall
+``dt = -0.9 t`` gives the step ``0.9 H^-1 P^T (a (x - xbar))``. The 0.9 is
+the schedule's, not a tuned constant. Started at ``mu_k``, where the Newton
+decrement of the new stage is 1e5 to 1e9 at Zipf n = 10 000, each stage took
+20 to 28 damped steps before its quadratic phase; that solve took 160 steps,
+117 from the secant below, and 90 from the tangent.
+
+At two or three budgets a stage starts, from the third stage on, on the
+secant through the last two stage ends, ``mu_k + 0.1 (mu_k - mu_{k-1})``,
+the path extrapolated linearly in t (0.1 is ``(t_{k+1} - t_k) / (t_k -
+t_{k-1})`` for the tenfold schedule). The tangent there needs lam's
+sensitivity, ``dlam/dt = -M^-1 L^T (q kappa s)``. It halved the steps of
+joint Zipf d = 2 solves, but the joint Zipf d = 3, n = 100 solve ended
+uncertified (1.73 times delta after 226 steps), and the d = 2 few-symbol
+sweep certified 58 of its 60 inputs, against 59 on the secant.
 
 Both Newton solves are value first: a trial point gets only its value, and
 the gradient and Hessian are built from the state of a point once it is
@@ -271,14 +289,24 @@ def _repaired_dual_value(
     return float(spec.col_counts.astype(float) @ mu + lam.sum()), lam
 
 
+def _damped_solve(H: np.ndarray, b: np.ndarray, tau: float, scale: float) -> np.ndarray:
+    """``(H + (tau + 1e-14) scale I)^-1 b``; raises ``LinAlgError`` if that is singular."""
+    damped = H.copy()
+    damped.flat[:: b.size + 1] += (tau + 1e-14) * scale
+    return np.linalg.solve(damped, b)
+
+
 def _descend(value, derivatives, x: np.ndarray, max_steps: int,
-             lower: float | None = None, rtol: float = 1e-13, tau: float = 0.0):
+             lower: float | None = None, rtol: float = 1e-13, tau: float = 0.0,
+             evaluated: tuple | None = None):
     """Minimize a smooth convex function by Levenberg-Marquardt-damped Newton steps.
 
     Value first: ``value(x)`` returns ``(f(x), state)`` and is all a trial
     point gets; ``derivatives(x, state)`` returns ``(grad, hessian, state)``
     and runs only at the start and at each accepted point, so a descent that
-    takes k steps builds k + 1 Hessians however many trials it rejects. With
+    takes k steps builds k + 1 Hessians however many trials it rejects. A
+    caller that has just evaluated the start passes that ``(f, state)`` as
+    ``evaluated``, and the start costs no second value call. With
     a ``lower`` bound, steps are projected onto it and bound coordinates whose
     gradient points outward are decoupled from the rest.
 
@@ -305,10 +333,10 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
     Stops when the predicted decrease over the free coordinates falls to
     ``rtol`` times the value, when no damping gives sufficient decrease, or
     after ``max_steps``. Returns the point, the state its derivatives
-    returned, the steps taken, and the ``tau`` of the first accepted step
-    (the starting ``tau`` if none was accepted).
+    returned, the steps taken, the ``tau`` of the first accepted step (the
+    starting ``tau`` if none was accepted), and the point's Hessian.
     """
-    f, state = value(x)
+    f, state = value(x) if evaluated is None else evaluated
     grad, H, state = derivatives(x, state)
     steps, first_tau = 0, tau
     while steps < max_steps:
@@ -327,9 +355,7 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
                 tau, restarted = 0.0, True
                 scale = max(scale, float(np.abs(grad).max(initial=0.0)))
             try:
-                damped = H.copy()
-                damped.flat[:: x.size + 1] += (tau + 1e-14) * scale
-                step = -np.linalg.solve(damped, grad)
+                step = -_damped_solve(H, grad, tau, scale)
             except np.linalg.LinAlgError:
                 tau, raised = max(10.0 * tau, 1e-12), True
                 continue
@@ -351,7 +377,7 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
         grad, H, state = derivatives(x, state)
         steps += 1
         tau = tau / (10.0 if raised else 100.0) if tau > 1e-10 else 0.0
-    return x, state, steps, first_tau
+    return x, state, steps, first_tau, H
 
 
 def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, share_t: np.ndarray,
@@ -502,12 +528,26 @@ class _ReducedDual:
             H -= K @ np.linalg.pinv((L.T * q) @ L) @ K.T
         return self.c - mass, H, (lam, a, W, rows, P)
 
+    def tangent(self, a, W, rows, P, H: np.ndarray) -> np.ndarray | None:
+        """The step in mu along the central path from ``t`` to ``t / 10``, to
+        first order, at one budget: ``0.9 H^-1 P^T (a (x - xbar))`` from an
+        accepted point's :meth:`derivatives` state and Hessian (see the
+        module). None if the Hessian is singular."""
+        x = W / (self.kappa * self.t)
+        x -= (self.kappa * a) @ x  # the weights kappa_i a_i are softmax(x): they sum to one
+        scale = float(np.abs(np.diag(H)).max(initial=0.0)) + 1e-300
+        try:
+            step = _damped_solve(H, P.T @ (a * x)[rows], 0.0, scale)
+        except np.linalg.LinAlgError:
+            return None
+        return 0.9 * step if np.all(np.isfinite(step)) else None
+
 
 def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResult:
     """Damped-Newton continuation on the smoothed dual, with a certified gap.
 
-    Each stage runs Newton steps in mu, from the last stage's end point or the
-    extrapolated central path (see the module), until they stop decreasing
+    Each stage runs Newton steps in mu, from the last stage's end point or a
+    prediction of the central path (see the module), until they stop decreasing
     the smoothed dual, then scores its smoothed primal and its repaired dual
     bound. The solve stops once the certified gap drops below
     ``config.delta``; a gap still above it when the stages or the
@@ -538,21 +578,30 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
 
     # Start each column on its nearest level, as the start places it before any blend.
     mu = dual.C[nearest, np.arange(dual.c.size)] - np.log(dual.c)
-    bound, steps, tau, previous = np.inf, 0, 0.0, None
+    bound, steps, tau, ahead = np.inf, 0, 0.0, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for stage in range(_STAGES):
-            start = mu
-            if previous is not None:  # the central path, extrapolated linearly in t
-                ahead = mu + 0.1 * (mu - previous)  # 0.1 = t's fall per stage (see the module)
-                if dual.value(ahead)[0] < dual.value(mu)[0]:
+            start, evaluated = mu, None
+            if ahead is not None:  # the predicted start, if F_t is lower there (see the module)
+                at_mu = dual.value(mu)[0]  # first: the scratch array keeps only the last value state
+                evaluated = dual.value(ahead)
+                if evaluated[0] < at_mu:
                     start = ahead
-            new_mu, (lam_t, a, W, rows, P), taken, tau = _descend(
-                dual.value, dual.derivatives, start, config.max_iters - steps, tau=tau)
-            if taken == 0 and start is not mu:  # stuck at the extrapolation: rerun from mu
+                else:
+                    evaluated = None
+            new_mu, (lam_t, a, W, rows, P), taken, tau, H = _descend(
+                dual.value, dual.derivatives, start, config.max_iters - steps, tau=tau,
+                evaluated=evaluated)
+            if taken == 0 and start is not mu:  # stuck at the prediction: rerun from mu
                 del P  # no second P while the rerun runs
-                new_mu, (lam_t, a, W, rows, P), taken, tau = _descend(
+                new_mu, (lam_t, a, W, rows, P), taken, tau, H = _descend(
                     dual.value, dual.derivatives, mu, config.max_iters - steps, tau=tau)
-            previous, mu = (mu if stage else None), new_mu
+            if spec.dim == 1:  # the central path's tangent
+                step = dual.tangent(a, W, rows, P, H)
+                ahead = None if step is None else new_mu + step
+            else:  # the last two stage ends, extrapolated linearly in t
+                ahead = new_mu + 0.1 * (new_mu - mu) if stage else None
+            mu = new_mu
             steps += taken
             X = dual.scratch  # C - mu is not read again: the candidate is built there
             X.fill(0.0)

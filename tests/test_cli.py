@@ -261,6 +261,11 @@ def test_estimate_multiple_profiles(tmp_path, runner):
         # A count of 1e300 makes n too large for a float; the grid is refused first.
         ("estimate", '{"pairs": [[1, 1e300]]}', [], 1),
         ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1e300]]}', [], 1),
+        # Coarse grids pass the level-count checks, but the length is too
+        # large for a float (2 n^2) or for the int64 frequency values.
+        ("estimate", '{"pairs": [[1, 1e300]]}', ["--eps1", "1", "--eps2", "1"], 1),
+        ("estimate", '{"pairs": [[1, 1e150]]}', ["--eps1", "1", "--eps2", "1"], 1),
+        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1e150]]}', ["--eps1", "1", "--eps2", "1"], 1),
     ],
 )
 def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, args, code):

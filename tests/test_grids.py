@@ -11,7 +11,7 @@ from pml import (
     profile_logprob,
     profile_of_sequence,
 )
-from pml.grids import MAX_LEVELS, GridSizeError
+from pml.grids import MAX_LENGTH, MAX_LEVELS, GridSizeError
 from pml.multi import build_d_grids
 from conftest import make_rng, random_distribution, random_profile
 
@@ -97,6 +97,17 @@ def test_tiny_eps_frequency_grid_is_the_integer_run():
     for eps in (1e-9, 1e-12, 5e-324):
         assert build_frequency_grid(5, eps).values.tolist() == [1, 2, 3, 4, 5]
     assert len(build_frequency_grid(10**5, 1e-5)) == 10**5
+
+
+def test_length_beyond_int64_grids_is_refused():
+    # At eps = 1 both ladders are short, but 2 n^2 at n = 1e300 is too large
+    # for a float, and frequencies near 1e150 too large for int64.
+    for n in (10**300, 10**150, MAX_LENGTH + 1):
+        for build in (build_probability_grid, build_frequency_grid):
+            with pytest.raises(GridSizeError, match="sample length"):
+                build(n, 1.0)
+    assert build_frequency_grid(MAX_LENGTH, 1.0).max_value == MAX_LENGTH
+    assert build_probability_grid(MAX_LENGTH, 1.0).values[0] <= 1 / (2 * MAX_LENGTH**2)
 
 
 def test_oversized_frequency_grid_is_refused_before_it_is_built():

@@ -370,17 +370,31 @@ def test_hessians_only_at_accepted_points(monkeypatch):
     # The Zipf(1) n = 1000 baseline profile (k = 500, default_rng(0)). Each
     # descent builds one Hessian at its start and one per accepted step, and
     # trial points get their value only. Before the value-first split every
-    # one of the 176 evaluations built a Hessian.
+    # one of the 176 evaluations built a Hessian. Each stage after the first
+    # probes the last stage's end and its predicted start with one value call
+    # each, and the descent starts from the probe's value, so no point is
+    # evaluated twice at one t (before, each stage evaluated its start again:
+    # 111 value calls, 81 now).
     p = 1.0 / np.arange(1, 501)
     sample = np.random.default_rng(0).choice(500, size=1000, p=p / p.sum())
     spec = default_grid_spec([[str(x) for x in sample]])
     records = watch_mu_solves(monkeypatch)
+    points, value = [], _ReducedDual.value
+
+    def recording_value(dual, mu):
+        points.append((dual.t, mu.tobytes()))
+        return value(dual, mu)
+
+    monkeypatch.setattr(_ReducedDual, "value", recording_value)
     result = solve(spec)
     assert result.certified
     steps = sum(r["steps"] for r in records)
     assert steps == result.iterations
     assert sum(r["derivatives"] for r in records) == steps + len(records)
-    assert sum(r["values"] for r in records) <= 176
+    probes = len(points) - sum(r["values"] for r in records)
+    assert probes == 2 * (len(records) - 1)
+    assert len(set(points)) == len(points)
+    assert len(points) <= 90
 
 
 def test_stages_start_from_the_damping_of_the_last(monkeypatch):
@@ -416,10 +430,33 @@ def test_stages_start_from_the_damping_of_the_last(monkeypatch):
     stages = "".join(events).split("|")[1:]
     assert len(stages) >= 2
     for stage in stages[1:]:
-        # "vd" at the start, then the trials up to the first accepted one.
+        # "d" at the start ("vd" if the start's probe value was not handed
+        # to the descent), then the trials up to the first accepted one.
         start, trials, *rest = stage.split("d")
-        assert start == "v" and rest  # a step was accepted
+        assert start in ("", "v") and rest  # a step was accepted
         assert len(trials) - 1 <= 5
+
+
+def test_predicted_start_is_the_central_path_tangent():
+    # d = 1: the step that starts the next stage is 0.9 t times the path's
+    # derivative -dmu/dt. Centered at t and at t (1 - 1e-4) to roundoff, the
+    # finite difference of the two centers matches it to 4e-5 of its size.
+    spec = default_grid_spec(zipf_sequences(1, 100))
+    t = 0.01 * spec.disc_lengths.max()
+
+    def center(t, mu):
+        dual = _ReducedDual(spec, t)
+        mu, (_, a, W, rows, P), _, _, H = solver_module._descend(
+            dual.value, dual.derivatives, mu, 500, rtol=1e-20)
+        return mu, dual.tangent(a, W, rows, P, H)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu, step = center(t, np.zeros(spec.num_cols - 1))
+        nearby, _ = center(t * (1 - 1e-4), mu)
+    slope = step / (-0.9 * t)
+    assert np.max(np.abs(slope)) > 0.01
+    np.testing.assert_allclose((nearby - mu) / (-1e-4 * t), slope,
+                               rtol=0, atol=1e-3 * np.max(np.abs(slope)))
 
 
 def zipf_sequences(d, n):
