@@ -131,9 +131,11 @@ class AssignmentSpec:
         return self.levels.T @ np.asarray(X, dtype=float).sum(axis=1)
 
     def row_caps(self) -> np.ndarray:
-        """Largest integral row sum the unit budget allows at each level."""
-        caps = np.floor(1.0 / self.levels + 1e-9)
-        return caps.min(axis=1).astype(np.int64)
+        """Largest integral row sum the unit budget allows at each level.
+
+        In float: a level below about 1e-19 allows more than int64 holds.
+        """
+        return np.floor(1.0 / self.levels + 1e-9).min(axis=1)
 
 
 def _check_matrix(X, spec: AssignmentSpec) -> np.ndarray:
@@ -304,18 +306,23 @@ def _commensurable_units(spec: AssignmentSpec):
     of its coordinate's smallest level, as on grids built with eps = 1. The
     budget is then a whole number of smallest-level units, and
     :func:`count_feasible` counts the unseen column on that integer lattice.
+    None too when a budget passes int64 (a smallest level below about 1e-19):
+    no such lattice could be counted anyway.
     """
     base = spec.levels.min(axis=0)
     ratios = spec.levels / base
     units = np.rint(ratios)
     if np.any(np.abs(ratios - units) > 1e-9):
         return None
-    budgets = np.floor(1.0 / base + 1e-9).astype(np.int64)
-    return units.astype(np.int64), budgets
+    budgets = np.floor(1.0 / base + 1e-9)
+    if max(units.max(), budgets.max()) >= 2.0**63:
+        return None
+    return units.astype(np.int64), budgets.astype(np.int64)
 
 
 def has_commensurable_levels(spec: AssignmentSpec) -> bool:
-    """True when every level is an integer multiple of the smallest level."""
+    """True when every level is an integer multiple of the smallest level
+    and the budget, in units of it, fits int64."""
     return _commensurable_units(spec) is not None
 
 

@@ -128,8 +128,7 @@ def _stirling_upper_bound(spec: assignment.AssignmentSpec) -> float:
     Row sums are capped by the unit budget, so each level contributes at most
     log(e sqrt(cap + 1)).
     """
-    caps = spec.row_caps().astype(float)
-    return float((1.0 + 0.5 * np.log(caps + 1.0)).sum())
+    return float((1.0 + 0.5 * np.log(spec.row_caps() + 1.0)).sum())
 
 
 def approximate_pml(

@@ -12,14 +12,32 @@ over the observed columns (:func:`solve` drops empty ones on entry, so every
 multiplier is finite), with ``kappa_i`` the row's largest level. lam is
 eliminated by its own convex solve of at most three variables (in closed form
 for one budget); mu takes Levenberg-Marquardt-damped Newton steps on the
-reduced function, and t falls tenfold per stage from 0.1 n'. Each stage
-starts its damping where the previous stage's first step was accepted, not
-at zero: the stages are nearby problems, and a damping restarted at zero
-climbs the same tenfold ladder again, up to 19 rejected trials before the
-stage's first step. Within a stage, a step that needed its damping raised
-keeps a tenth of it for the next step, not a hundredth: the next step
-mostly needs the same damping, and a hundredfold fall paid two rejected
-trials to climb back (see :func:`_descend`).
+reduced function, and t falls tenfold per stage from 0.1 n'.
+
+The first stage starts at the Poissonized dual point
+``mu_j = sum_k [log f_jk! - f_jk log n'_k]``, with f the observed columns'
+frequencies and n' the discretized lengths (floored at one). At
+``lam = n'`` its row terms are Poisson probabilities:
+``exp(C_ij - mu_j - lam . level_i) = prod_k Pois(f_jk; n'_k level_ik)``,
+and the unseen column's term ``exp(-lam . level_i)`` is that of zero
+counts. The frequency tuples are distinct, so a row's terms sum to at most
+one: ``W_i <= lam . level_i`` on every row, and the start is a feasible dual
+point before any Newton step (Zipf n = 10 000: worst row slack -7e-16, dual
+value -56 659.5 against a relaxed optimum of -56 737.0). Each column's
+nearest level, ``mu_j = C_ij - log c_j`` there, left out the budget term
+``lam . level_i``, which is about f_j, and missed the first stage's end by
+up to 1 210 log units at Zipf n = 10 000. That stage took 19, 21, 21 and 48
+Newton steps at Zipf n = 300, 1000, 3000 and 10 000, and n = 10^6 used all
+300 default steps in it; from the Poissonized point it takes 5 to 6, and
+n = 10^6 certifies in 93 steps.
+
+Each stage starts its damping where the previous stage's first step was
+accepted, not at zero: the stages are nearby problems, and a damping
+restarted at zero climbs the same tenfold ladder again, up to 19 rejected
+trials before the stage's first step. Within a stage, a step that needed its
+damping raised keeps a tenth of it for the next step, not a hundredth: the
+next step mostly needs the same damping, and a hundredfold fall paid two
+rejected trials to climb back (see :func:`_descend`).
 
 Each stage after the first (from the third on, at two or three budgets)
 starts from a prediction of its point of the central path, if ``F_t`` is
@@ -81,7 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import EXP_FLOOR, clipped_exp, logsumexp
+from ._special import EXP_FLOOR, clipped_exp, log_factorial, logsumexp
 from .assignment import AssignmentSpec, is_feasible, log_weight_relaxed
 
 # bench/spans.py patches linprog, minimize, log_weight_relaxed and
@@ -220,13 +238,8 @@ def initial_point(spec: AssignmentSpec) -> np.ndarray:
     """
     if spec.row_counts is not None:
         raise ValueError("initial points are for the budget (fractional) variant")
-    return _start(spec, _nearest_rows(spec))
-
-
-def _start(spec: AssignmentSpec, nearest: np.ndarray) -> np.ndarray:
-    """:func:`initial_point` from the columns' :func:`_nearest_rows`."""
     X = np.zeros(spec.shape)
-    X[nearest, np.arange(1, spec.num_cols)] = spec.col_counts
+    X[_nearest_rows(spec), np.arange(1, spec.num_cols)] = spec.col_counts
     cheapest = _cheapest_placement(spec)
     if np.any(spec.budget_use(cheapest) > 1 + 1e-12):
         raise InfeasibleError("observed counts cannot fit the unit budget at any level")
@@ -546,13 +559,17 @@ class _ReducedDual:
 def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResult:
     """Damped-Newton continuation on the smoothed dual, with a certified gap.
 
-    Each stage runs Newton steps in mu, from the last stage's end point or a
-    prediction of the central path (see the module), until they stop decreasing
-    the smoothed dual, then scores its smoothed primal and its repaired dual
-    bound. The solve stops once the certified gap drops below
-    ``config.delta``; a gap still above it when the stages or the
-    ``config.max_iters`` Newton steps run out flags the result non-certified. It runs on the observed columns
-    and returns its point in the caller's shape, zero on the empty columns.
+    Each stage runs Newton steps in mu until they stop decreasing the
+    smoothed dual, then scores its smoothed primal and its repaired dual
+    bound. The first stage starts at the Poissonized dual point, a feasible
+    dual point with ``lam = n'`` (5 to 6 steps on Zipf n = 300 to 10 000
+    draws, against 19 to 48 from each column's nearest level); each later
+    one starts from the last stage's end point or a prediction of the
+    central path (see the module). The solve stops once the certified gap
+    drops below ``config.delta``; a gap still above it when the stages or
+    the ``config.max_iters`` Newton steps run out flags the result
+    non-certified. It runs on the observed columns and returns its point in
+    the caller's shape, zero on the empty columns.
 
     Level-by-column arrays: the spec's table (``_ReducedDual.C`` is a view of
     it), the best point so far, the dual's scratch array (``C - mu`` during a
@@ -571,13 +588,13 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
     full = spec
     if not kept.all():
         spec = AssignmentSpec(spec.levels, spec.freqs[kept], spec.col_counts[kept[1:]])
-    nearest = _nearest_rows(spec)
-    best = _start(spec, nearest)
+    best = initial_point(spec)
     best_value = log_weight_relaxed(best, spec)
     dual = _ReducedDual(spec, 0.1 * max(float(spec.disc_lengths.max()), 1.0))
 
-    # Start each column on its nearest level, as the start places it before any blend.
-    mu = dual.C[nearest, np.arange(dual.c.size)] - np.log(dual.c)
+    # The Poissonized dual point, feasible with lam = n' (see the module).
+    f = spec.freqs[1:]
+    mu = (log_factorial(f) - f * np.log(np.maximum(spec.disc_lengths, 1.0))).sum(axis=1)
     bound, steps, tau, ahead = np.inf, 0, 0.0, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for stage in range(_STAGES):

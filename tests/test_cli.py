@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,23 @@ def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, ar
         assert len(result.stderr.strip().splitlines()) == 1
     else:
         assert json.loads(result.stdout)["certified"] is True
+
+
+def test_budgets_beyond_int64_keep_the_diagnostics_finite(tmp_path, runner):
+    # n = 2e17 at eps = 1: the smallest level is about 1 / (2 n^2), so a
+    # row's cap and the budget in units of that level pass int64. Cast to
+    # int64 they were garbage, with three "invalid value encountered in
+    # cast" warnings and three diagnostics reported as nan.
+    path = write(tmp_path, "p.json", '{"pairs": [[2, 1e17]]}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["estimate", path, "--eps1", "1", "--eps2", "1"])
+    assert result.exit_code == 0, result.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    diagnostics = json.loads(result.stdout)["diagnostics"]
+    assert diagnostics["assignment_count_method"] == "bound"
+    for key in ("log_num_assignments", "slack_relax_upper", "slack_total"):
+        assert math.isfinite(float(diagnostics[key])), key
 
 
 JOINT_PAIRS = [
