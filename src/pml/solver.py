@@ -9,10 +9,28 @@ those row constraints at temperature t gives the convex function
     F_t(mu, lam) = c . mu + sum lam + t sum_i exp((W_i(mu) - lam . level_i) / (kappa_i t))
 
 over the observed columns (:func:`solve` drops empty ones on entry, so every
-multiplier is finite), with ``kappa_i`` the row's largest level. lam is
-eliminated by its own convex solve of at most three variables (in closed form
-for one budget); mu takes Levenberg-Marquardt-damped Newton steps on the
-reduced function, and t falls tenfold per stage from 0.1 n'.
+multiplier is finite), with ``kappa_i`` the row's largest level. At one
+budget lam has a closed form and is eliminated, and mu takes
+Levenberg-Marquardt-damped Newton steps on the reduced function. At two or
+three, the steps are taken in ``(mu, lam)`` together, with lam bound below
+by zero: one Newton system per step, as in path following. t falls tenfold
+per stage from 0.1 n'.
+
+Each joint stage first puts lam on its exact minimiser at the start's mu
+(one solve of at most three variables by :func:`_budget_multipliers`), at
+the start and at the predicted start. A tenfold fall of t multiplies every
+exponent ``s_i`` tenfold, and the stages from the second otherwise started
+with every ``a_i`` near zero and the budget gradient at one: the joint
+d = 2, n = 1000 Zipf draw then took 299 steps, and n = 3000 certified only
+on the last of its 300 default steps. The joint descent stops at a
+predicted decrease of 1e-20 of the value, as the lam solve does; at 1e-13
+the d = 2 few-symbol sweep certified 59 of its 60 inputs, against all 60.
+Before, lam had a damped solve of its own inside every value call of mu,
+and mu's Hessian was its Schur complement with a pseudo-inverse: under
+cProfile those lam solves took 65% of the d = 2, n = 4 benchmark solve and
+72% of the joint d = 2, n = 100 one, and the d = 2 sweep certified 59 of
+60. The joint steps are a few more (joint Zipf d = 2, n = 1000: 116 to
+132; d = 3, n = 100: 111 to 126) but much cheaper.
 
 The first stage starts at the Poissonized dual point
 ``mu_j = sum_k [log f_jk! - f_jk log n'_k]``, with f the observed columns'
@@ -41,10 +59,12 @@ rejected trials to climb back (see :func:`_descend`).
 
 Each stage after the first (from the third on, at two or three budgets)
 starts from a prediction of its point of the central path, if ``F_t`` is
-lower there than at the last stage's end ``mu_k``; the prediction's value
-state is then handed to the descent, so the start is evaluated once. A stage that takes no step from the prediction reruns from
-``mu_k``: the point can be lower in ``F_t`` and still leave the damped steps
-stuck, and ``[[200, 1], [100, 1]]`` at eps = 0.5 then ended uncertified.
+lower there than at the last stage's end ``mu_k`` (at two or three budgets,
+both with lam on its minimiser); the prediction's value state is then
+handed to the descent, so the start is evaluated once. A stage that takes
+no step from the prediction reruns from ``mu_k``: the point can be lower in
+``F_t`` and still leave the damped steps stuck, and ``[[200, 1], [100, 1]]``
+at eps = 0.5 then ended uncertified.
 
 At one budget the prediction is the path's tangent (the predictor step of
 predictor-corrector path following). There lam has the closed form
@@ -61,22 +81,24 @@ decrement of the new stage is 1e5 to 1e9 at Zipf n = 10 000, each stage took
 117 from the secant below, and 90 from the tangent.
 
 At two or three budgets a stage starts, from the third stage on, on the
-secant through the last two stage ends, ``mu_k + 0.1 (mu_k - mu_{k-1})``,
-the path extrapolated linearly in t (0.1 is ``(t_{k+1} - t_k) / (t_k -
-t_{k-1})`` for the tenfold schedule). The tangent there needs lam's
-sensitivity, ``dlam/dt = -M^-1 L^T (q kappa s)``. It halved the steps of
-joint Zipf d = 2 solves, but the joint Zipf d = 3, n = 100 solve ended
-uncertified (1.73 times delta after 226 steps), and the d = 2 few-symbol
-sweep certified 58 of its 60 inputs, against 59 on the secant.
+secant through the last two stage ends, ``x_k + 0.1 (x_k - x_{k-1})`` with
+``x = (mu, lam)``, the path extrapolated linearly in t (0.1 is
+``(t_{k+1} - t_k) / (t_k - t_{k-1})`` for the tenfold schedule), and its lam
+then put on its minimiser as above. A tangent there needs lam's
+sensitivity, ``dlam/dt = -M^-1 L^T (q kappa s)``. With lam solved inside
+every value call it halved the steps of joint Zipf d = 2 solves, but the
+joint Zipf d = 3, n = 100 solve ended uncertified (1.73 times delta after
+226 steps), and the d = 2 few-symbol sweep certified 58 of its 60 inputs,
+against 59 on the secant.
 
-Both Newton solves are value first: a trial point gets only its value, and
+The Newton steps are value first: a trial point gets only its value, and
 the gradient and Hessian are built from the state of a point once it is
 accepted (most trials are rejected). A value call takes one ``exp`` over the
 level-by-column table, and the derivatives reuse it. Every exponential on
 that path is clipped from below at ``EXP_FLOOR`` = -700 (:func:`clipped_exp`),
 which keeps numpy's ``exp`` off its slow underflow path: the row terms span
 thousands of log units, and without the clip most value calls underflow. A
-clipped term is only ever raised, never lowered. The mu Hessian drops rows
+clipped term is only ever raised, never lowered. The Hessian drops rows
 with ``a_i <= 1e-150`` and entries of ``P`` below 1e-150, which keeps its
 matrix product off subnormal numbers; see :class:`_ReducedDual`.
 
@@ -310,7 +332,7 @@ def _damped_solve(H: np.ndarray, b: np.ndarray, tau: float, scale: float) -> np.
 
 
 def _descend(value, derivatives, x: np.ndarray, max_steps: int,
-             lower: float | None = None, rtol: float = 1e-13, tau: float = 0.0,
+             lower: float | np.ndarray | None = None, rtol: float = 1e-13, tau: float = 0.0,
              evaluated: tuple | None = None):
     """Minimize a smooth convex function by Levenberg-Marquardt-damped Newton steps.
 
@@ -319,9 +341,10 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
     and runs only at the start and at each accepted point, so a descent that
     takes k steps builds k + 1 Hessians however many trials it rejects. A
     caller that has just evaluated the start passes that ``(f, state)`` as
-    ``evaluated``, and the start costs no second value call. With
-    a ``lower`` bound, steps are projected onto it and bound coordinates whose
-    gradient points outward are decoupled from the rest.
+    ``evaluated``, and the start costs no second value call. With a
+    ``lower`` bound (one for all coordinates, or one each, -inf for a free
+    one), steps are projected onto it and bound coordinates whose gradient
+    points outward are decoupled from the rest.
 
     The damping is ``tau`` times the largest Hessian diagonal entry. It starts
     at ``tau`` and rises tenfold per rejected trial. After an accepted step
@@ -340,8 +363,8 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
     decrease). A trial whose predicted decrease is below 1e-14 of the value
     is accepted unless it raises the value by more than that: the value's
     roundoff then hides the decrease, and the lam solve, which asks for
-    ``rtol`` = 1e-20, otherwise stalled with budget residuals near 1e-9 that
-    the mu gradient reads.
+    ``rtol`` = 1e-20 as the joint descent does, otherwise stalled with budget
+    residuals near 1e-9.
 
     Stops when the predicted decrease over the free coordinates falls to
     ``rtol`` times the value, when no damping gives sufficient decrease, or
@@ -400,9 +423,11 @@ def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, sh
     ``s_i = (W_i - lam . level_i) / (kappa_i t)``. One budget has the closed
     form ``lam = t logsumexp(W / (level t))``, where ``s`` is ``W / (level t)``
     minus that logsumexp, so ``sum_i exp(s_i)`` is one and needs no second
-    ``exp``. Several take damped Newton steps from ``lam`` rescaled so that
-    the largest s_i is zero; ``share_t = (levels / kappa).T`` is made C-contiguous
-    once, as a transposed view made the Hessian product 2.5 times slower at d = 3.
+    ``exp``; every value call at one budget takes it. Several take damped
+    Newton steps from ``lam`` rescaled so that the largest s_i is zero, once
+    per start of a joint stage (see the module); ``share_t = (levels /
+    kappa).T`` is made C-contiguous once, as a transposed view made the
+    Hessian product 2.5 times slower at d = 3.
     """
     if levels.shape[1] == 1:
         x = W / (levels[:, 0] * t)
@@ -419,28 +444,25 @@ def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, sh
         return 1.0 - share_t @ e, (share_t * (e / t)) @ share_t.T, state
 
     lam = lam * np.max(W / (levels @ lam))
-    # The mu gradient reads the budget residuals ``1 - share^T e``, but they
-    # are not solved to roundoff: the descent stops when its predicted
-    # decrease, about r^2 / H for a residual r, is 1e-20 of the value, and at
-    # small t the Hessian H is large. On the joint d = 2, n = 1000 Zipf draw
-    # 57 of 274 solves end with an active residual above 1e-9, at most 4e-5.
     lam, (s, e), *_ = _descend(value, derivatives, lam, 100, lower=0.0, rtol=1e-20)
     return lam, s, float(e.sum())
 
 
 class _ReducedDual:
-    """F_t with lam eliminated, over the observed columns, split value first.
+    """F_t over the observed columns, split value first: in mu with lam
+    eliminated at one budget, in ``x = (mu, lam)`` at two or three.
 
     :meth:`value` is what a Newton trial needs: the row terms ``W`` with the
     shifted exponentials ``E`` of ``Z = C - mu`` and the row sums ``terms``
     they are built from (:func:`_log1p_sum_exp`), the budget multipliers
     ``lam`` and the exponents ``s``, and ``F_t``. :meth:`derivatives` turns
-    an accepted point's state into the gradient ``c - P^T a`` and the
-    Schur-complement Hessian
-    ``diag(P^T a) + P^T diag(q - a) P - K (L^T diag(q) L)^+ K^T``, with
+    an accepted point's state into the gradient and Hessian, with
     ``P = exp(Z - W) = E / terms`` (no second ``exp``), ``a = exp(s) / kappa``,
-    ``q = a / (kappa t)``, ``K = P^T diag(q) L`` and ``L`` the levels of the
-    budgets with lam > 0.
+    ``q = a / (kappa t)``, ``L`` the levels, ``K = P^T diag(q) L``,
+    ``M = L^T diag(q) L`` and ``H = diag(P^T a) + P^T diag(q - a) P``. At
+    one budget they are the reduced gradient ``c - P^T a`` and the Schur
+    complement ``H - K K^T / M``; at two or three, the joint gradient
+    ``(c - P^T a, 1 - L^T a)`` and Hessian ``[[H, K], [K^T, M]]``.
 
     The derivatives drop rows with ``a_i <= FLOOR`` and zero the entries of
     ``P`` below it (``FLOOR`` = 1e-150). A dropped term is FLOOR times at
@@ -496,22 +518,38 @@ class _ReducedDual:
         self.kappa = self.levels.max(axis=1)
         self.share_t = np.ascontiguousarray((self.levels / self.kappa[:, None]).T)
         self.t = t
-        self.lam = np.ones(spec.dim)  # warm start of the next lam solve
         # C - mu, column-major, in the first R (J - 1) entries of a row-major
         # (R, J) array, the shape of solve's candidates (see the class).
         self.scratch = np.empty(spec.shape)
 
-    def value(self, mu: np.ndarray):
-        """``F_t(mu)`` and the state ``(W, E, terms, lam, s)`` it computed."""
+    def value(self, x: np.ndarray, settle: bool = False):
+        """``F_t(x)`` and the state ``(W, E, terms, lam, s)`` it computed.
+
+        ``x`` is mu at one budget, where lam has its closed form, and
+        ``(mu, lam)`` at two or three. With ``settle``, lam is first moved
+        onto its minimiser at x's mu by :func:`_budget_multipliers`, warm
+        started from x's lam, and the state's lam is that minimiser.
+        """
+        mu, lam = x[: self.c.size], x[self.c.size:]
         Z = self.scratch.reshape(-1)[: self.C.size].reshape(self.C.shape[::-1]).T
         W, E, terms = _log1p_sum_exp(np.subtract(self.C, mu, out=Z))
-        self.lam, s, penalty = _budget_multipliers(W, self.levels, self.kappa, self.share_t,
-                                                   self.t, self.lam)
-        value = float(self.c @ mu + self.lam.sum() + self.t * penalty)
-        return value, (W, E, terms, self.lam, s)
+        if settle or self.levels.shape[1] == 1:
+            lam, s, penalty = _budget_multipliers(W, self.levels, self.kappa, self.share_t,
+                                                  self.t, lam)
+        else:
+            s = (W - self.levels @ lam) / (self.kappa * self.t)
+            penalty = clipped_exp(s).sum()
+        value = float(self.c @ mu + lam.sum() + self.t * penalty)
+        return value, (W, E, terms, lam, s)
 
-    def derivatives(self, mu: np.ndarray, state):
-        """Gradient and Hessian at ``mu`` from its value state, and the state
+    def settle(self, x: np.ndarray):
+        """At two or three budgets, x with lam on its minimiser at x's mu,
+        and that point's value and state (see :meth:`value`)."""
+        f, state = self.value(x, settle=True)
+        return np.r_[x[: self.c.size], state[3]], (f, state)
+
+    def derivatives(self, x: np.ndarray, state):
+        """Gradient and Hessian at ``x`` from its value state, and the state
         ``(lam, a, W, rows, P)`` of the smoothed primal ``X = a_i P_ij`` (zero
         off ``rows``). The state's ``E`` is overwritten (see the class)."""
         W, E, terms, lam, s = state
@@ -529,17 +567,17 @@ class _ReducedDual:
         mass = P.T @ used
         H = np.multiply(P.T, q - used, out=weighted) @ P
         H.flat[:: mass.size + 1] += mass  # the diagonal
-        L = self.levels[rows][:, lam > 0]
-        if L.shape[1] == 1:  # one budget: K is a vector and pinv(M) a division
+        L = self.levels[rows]
+        if L.shape[1] == 1:  # lam eliminated: the Schur complement of M = L^T diag(q) L
             qL = q * L[:, 0]
             M = float(qL @ L[:, 0])
             if M > 0:
                 K = P.T @ qL
                 H -= np.outer(K / M, K)
-        else:
-            K = np.multiply(P.T, q, out=weighted) @ L
-            H -= K @ np.linalg.pinv((L.T * q) @ L) @ K.T
-        return self.c - mass, H, (lam, a, W, rows, P)
+            return self.c - mass, H, (lam, a, W, rows, P)
+        K = np.multiply(P.T, q, out=weighted) @ L
+        grad = np.concatenate([self.c - mass, 1.0 - L.T @ used])
+        return grad, np.block([[H, K], [K.T, (L.T * q) @ L]]), (lam, a, W, rows, P)
 
     def tangent(self, a, W, rows, P, H: np.ndarray) -> np.ndarray | None:
         """The step in mu along the central path from ``t`` to ``t / 10``, to
@@ -559,17 +597,18 @@ class _ReducedDual:
 def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResult:
     """Damped-Newton continuation on the smoothed dual, with a certified gap.
 
-    Each stage runs Newton steps in mu until they stop decreasing the
-    smoothed dual, then scores its smoothed primal and its repaired dual
-    bound. The first stage starts at the Poissonized dual point, a feasible
-    dual point with ``lam = n'`` (5 to 6 steps on Zipf n = 300 to 10 000
-    draws, against 19 to 48 from each column's nearest level); each later
-    one starts from the last stage's end point or a prediction of the
-    central path (see the module). The solve stops once the certified gap
-    drops below ``config.delta``; a gap still above it when the stages or
-    the ``config.max_iters`` Newton steps run out flags the result
-    non-certified. It runs on the observed columns and returns its point in
-    the caller's shape, zero on the empty columns.
+    Each stage runs Newton steps in mu (at one budget) or in (mu, lam) (at
+    two or three) until they stop decreasing the smoothed dual, then scores
+    its smoothed primal and its repaired dual bound. The first stage starts
+    at the Poissonized dual point, a feasible dual point with ``lam = n'``
+    (5 to 6 steps on Zipf n = 300 to 10 000 draws, against 19 to 48 from
+    each column's nearest level); each later one starts from the last
+    stage's end point or a prediction of the central path, at two or three
+    budgets with lam first put on its minimiser (see the module). The solve
+    stops once the certified gap drops below ``config.delta``; a gap still
+    above it when the stages or the ``config.max_iters`` Newton steps run
+    out flags the result non-certified. It runs on the observed columns and
+    returns its point in the caller's shape, zero on the empty columns.
 
     Level-by-column arrays: the spec's table (``_ReducedDual.C`` is a view of
     it), the best point so far, the dual's scratch array (``C - mu`` during a
@@ -594,31 +633,37 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
 
     # The Poissonized dual point, feasible with lam = n' (see the module).
     f = spec.freqs[1:]
-    mu = (log_factorial(f) - f * np.log(np.maximum(spec.disc_lengths, 1.0))).sum(axis=1)
+    x = (log_factorial(f) - f * np.log(np.maximum(spec.disc_lengths, 1.0))).sum(axis=1)
+    lower, rtol = None, 1e-13
+    if spec.dim > 1:  # lam is a variable of the descent, bound below by zero
+        x = np.r_[x, np.maximum(spec.disc_lengths, 1.0)]
+        lower, rtol = np.r_[np.full(x.size - spec.dim, -np.inf), np.zeros(spec.dim)], 1e-20
     bound, steps, tau, ahead = np.inf, 0, 0.0, None
+
+    def descend(start, evaluated):
+        return _descend(dual.value, dual.derivatives, start, config.max_iters - steps,
+                        lower=lower, rtol=rtol, tau=tau, evaluated=evaluated)
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for stage in range(_STAGES):
-            start, evaluated = mu, None
+            here, evaluated = dual.settle(x) if spec.dim > 1 else (x, None)
+            start = here
             if ahead is not None:  # the predicted start, if F_t is lower there (see the module)
-                at_mu = dual.value(mu)[0]  # first: the scratch array keeps only the last value state
-                evaluated = dual.value(ahead)
-                if evaluated[0] < at_mu:
-                    start = ahead
-                else:
-                    evaluated = None
-            new_mu, (lam_t, a, W, rows, P), taken, tau, H = _descend(
-                dual.value, dual.derivatives, start, config.max_iters - steps, tau=tau,
-                evaluated=evaluated)
-            if taken == 0 and start is not mu:  # stuck at the prediction: rerun from mu
+                # First: the scratch array keeps only the last value state.
+                at_here = dual.value(here)[0] if evaluated is None else evaluated[0]
+                ahead, trial = dual.settle(ahead) if spec.dim > 1 else (ahead, dual.value(ahead))
+                start, evaluated = (ahead, trial) if trial[0] < at_here else (here, None)
+            new_x, (lam_t, a, W, rows, P), taken, tau, H = descend(start, evaluated)
+            if taken == 0 and start is not here:  # stuck at the prediction: rerun from here
                 del P  # no second P while the rerun runs
-                new_mu, (lam_t, a, W, rows, P), taken, tau, H = _descend(
-                    dual.value, dual.derivatives, mu, config.max_iters - steps, tau=tau)
+                new_x, (lam_t, a, W, rows, P), taken, tau, H = descend(here, None)
             if spec.dim == 1:  # the central path's tangent
                 step = dual.tangent(a, W, rows, P, H)
-                ahead = None if step is None else new_mu + step
+                ahead = None if step is None else new_x + step
             else:  # the last two stage ends, extrapolated linearly in t
-                ahead = new_mu + 0.1 * (new_mu - mu) if stage else None
-            mu = new_mu
+                ahead = new_x + 0.1 * (new_x - x) if stage else None
+            x = new_x
+            mu = x[: spec.num_cols - 1]
             steps += taken
             X = dual.scratch  # C - mu is not read again: the candidate is built there
             X.fill(0.0)

@@ -171,11 +171,15 @@ def test_zipf_pair_n100_certifies_at_default_delta():
 @pytest.mark.parametrize("entries", [
     [[[211, 86], 1], [[89, 214], 1]],
     [[[30, 0], 1], [[0, 30], 1]],
+    [[[33, 49], 1], [[31, 0], 1], [[24, 23], 1], [[7, 17], 1], [[5, 11], 1]],
 ])
 def test_two_symbol_pairs_certify(entries):
-    # Each stage started from the last stage's end point, these stalled short
-    # of the step budget at gaps of 10.6 and 11.3 times delta, after 51 and
-    # 57 steps; started from the extrapolated central path they certify.
+    # Each stage started from the last stage's end point, the first two
+    # stalled short of the step budget at gaps of 10.6 and 11.3 times delta,
+    # after 51 and 57 steps; started from the extrapolated central path they
+    # certify. The third, a five-symbol pair of the d = 2 sweep, then ended at
+    # 1.31 times delta after 115 steps, its candidates scoring worse as t fell;
+    # with Newton steps in (mu, lam) together it certifies in 58.
     _, diag = approximate_pml_d(DProfile.from_dict({"d": 2, "entries": entries}))
     assert diag.certified
 

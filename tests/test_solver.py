@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from conftest import (
 
 
 def watch_mu_solves(monkeypatch):
-    """Record every mu descent of solve: its start and end points, and its
-    value and derivative calls. Returns the list the records go to."""
+    """Record every descent of solve (in mu at one budget, in (mu, lam) at
+    two or three): its start and end points, the end point's lam and row
+    weights a, and its value and derivative calls. Returns the list the
+    records go to."""
     records = []
     descend = solver_module._descend
 
@@ -36,16 +39,17 @@ def watch_mu_solves(monkeypatch):
             return descend(value, derivatives, x, *args, **kwargs)
         record = {"t": dual.t, "start": x.copy(), "values": 0, "derivatives": 0}
 
-        def counted_value(mu):
+        def counted_value(x):
             record["values"] += 1
-            return value(mu)
+            return value(x)
 
-        def counted_derivatives(mu, state):
+        def counted_derivatives(x, state):
             record["derivatives"] += 1
-            return derivatives(mu, state)
+            return derivatives(x, state)
 
         out = descend(counted_value, counted_derivatives, x, *args, **kwargs)
-        record.update(mu=out[0].copy(), lam=dual.lam.copy(), steps=out[2])
+        lam, a = out[1][:2]
+        record.update(x=out[0].copy(), lam=lam.copy(), a=a.copy(), steps=out[2])
         records.append(record)
         return out
 
@@ -251,11 +255,12 @@ def test_start_is_a_feasible_dual_point(monkeypatch, d, n):
     # and the unseen column's term is that of zero counts. The tuples are
     # distinct, so the terms of a row sum to at most one: W_i <= lam . level_i
     # on every row before any Newton step, and the start's dual value is an
-    # upper bound.
+    # upper bound. At d = 2 the descent starts at (mu, lam): mu is its first
+    # J coordinates.
     spec = default_grid_spec(zipf_sequences(d, n))
     records = watch_mu_solves(monkeypatch)
     result = solve(spec)
-    mu = records[0]["start"]
+    mu = records[0]["start"][: spec.num_cols - 1]
     lam = np.maximum(spec.disc_lengths, 1.0)
     W = solver_module._row_terms(spec, mu)
     assert np.all(W <= spec.levels @ lam + 1e-9)
@@ -331,19 +336,23 @@ def test_solver_config_validation():
         assert SolverConfig(delta=1e-6, max_iters=max_iters).max_iters == 300
 
 
-def dense_derivatives(dual, mu, state):
-    """Gradient and Hessian of the reduced smoothed dual from the textbook
-    formula over every row, with nothing dropped or clipped."""
+def dense_derivatives(dual, x, state):
+    """Gradient and Hessian of the smoothed dual from the textbook formula
+    over every row, with nothing dropped or clipped: in mu with lam
+    eliminated at one budget, in (mu, lam) at two or three."""
     W, _, _, lam, s = state
-    Z = dual.C - mu
-    P = np.exp(Z - W[:, None])
+    J = dual.c.size
+    P = np.exp(dual.C - x[:J] - W[:, None])
     a = np.exp(s) / dual.kappa
     q = a / (dual.kappa * dual.t)
     H = np.diag(P.T @ a) - (P.T * a) @ P + (P.T * q) @ P
-    L = dual.levels[:, lam > 0]
+    L = dual.levels
     K = (P.T * q) @ L
-    H -= K @ np.linalg.pinv((L.T * q) @ L) @ K.T
-    return dual.c - P.T @ a, H, P, a
+    M = (L.T * q) @ L
+    grad = dual.c - P.T @ a
+    if L.shape[1] == 1:
+        return grad, H - K @ K.T / M, P, a
+    return np.r_[grad, 1.0 - L.T @ a], np.block([[H, K], [K.T, M]]), P, a
 
 
 def central_difference(f, x, h):
@@ -362,20 +371,21 @@ def test_derivatives_match_value_differences_and_dense_formula(monkeypatch, sequ
     # part, its Hessian central differences of that gradient, and both the
     # dense unclipped formula, at the first stage and at the third (t a
     # hundred times smaller), where the floor drops rows and P entries. At
-    # d = 2 both budgets are active. Second differences of the value itself
-    # cannot resolve 1e-8 there: |F| is 25 to 65 against curvatures up to 1e3.
+    # d = 1 lam is eliminated and the derivatives are in mu; at d = 2 they
+    # are in (mu, lam), with both budgets active. Second differences of the
+    # value itself cannot resolve 1e-8 there: |F| is 25 to 65 against
+    # curvatures up to 1e3.
     spec = default_grid_spec(sequences)
     records = watch_mu_solves(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         assert solve(spec).certified
         for record in records[0:3:2]:
             dual = _ReducedDual(spec, record["t"])
-            dual.lam = record["lam"]
-            mu = record["mu"]
-            state = dual.value(mu)[1]
-            grad, H, (lam, *_, rows, _) = dual.derivatives(mu, state)
+            x = record["x"]
+            state = dual.value(x)[1]
+            grad, H, (lam, *_, rows, _) = dual.derivatives(x, state)
             assert np.sum(lam > 0) == spec.dim  # every budget is active
-            ref_grad, ref_H, P, a = dense_derivatives(dual, mu, state)
+            ref_grad, ref_H, P, a = dense_derivatives(dual, x, state)
             if record is records[2]:
                 assert np.any(a <= _ReducedDual.FLOOR)
                 assert np.any(P[rows] < _ReducedDual.FLOOR)
@@ -385,10 +395,38 @@ def test_derivatives_match_value_differences_and_dense_formula(monkeypatch, sequ
             # A step of 0.003 max c / max |H| keeps both the fourth-order
             # truncation and the roundoff near 1e-9.
             h = 3e-3 * scale / np.abs(H).max()
-            fd_grad = central_difference(lambda x: dual.value(x)[0], mu, h)
+            fd_grad = central_difference(lambda y: dual.value(y)[0], x, h)
             assert np.abs(fd_grad - grad).max() <= 1e-8 * scale
-            fd_H = central_difference(lambda x: dual.derivatives(x, dual.value(x)[1])[0], mu, h)
+            fd_H = central_difference(lambda y: dual.derivatives(y, dual.value(y)[1])[0], x, h)
             assert np.abs(fd_H - H).max() <= 1e-8 * np.abs(H).max()
+
+
+def test_joint_descent_solves_lam_only_at_stage_starts(monkeypatch):
+    # The joint Zipf d = 2, n = 100 draw. At two budgets the descent takes
+    # its Newton steps in (mu, lam) together. lam gets a solve of its own
+    # only at a stage's start and at its predicted start, at most twice per
+    # stage (the nested solve ran one per mu value call, 138 in all); no
+    # Schur complement is pseudo-inverted; and every stage ends with its
+    # active budgets met to 1e-7 (to 3.1e-9 at most).
+    spec = default_grid_spec(zipf_sequences(2, 100))
+    solves, budget_multipliers = Counter(), solver_module._budget_multipliers
+
+    def counted(W, levels, kappa, share_t, t, lam):
+        solves[t] += 1
+        return budget_multipliers(W, levels, kappa, share_t, t, lam)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.pinv was called")
+
+    monkeypatch.setattr(solver_module, "_budget_multipliers", counted)
+    monkeypatch.setattr(np.linalg, "pinv", refused)
+    records = watch_mu_solves(monkeypatch)
+    assert solve(spec).certified
+    assert set(solves) == {record["t"] for record in records}
+    assert max(solves.values()) <= 2
+    for record in records:
+        residual = 1.0 - spec.levels.T @ record["a"]
+        assert np.abs(residual[record["lam"] > 0]).max() <= 1e-7
 
 
 def test_hessians_only_at_accepted_points(monkeypatch):
@@ -517,7 +555,10 @@ def test_damping_keeps_a_tenth_after_a_raised_step(monkeypatch, d, n, kind, most
     # (tau / 100 and tau / 10) before accepting at tau again: the joint
     # d = 2, n = 100 draw then made 4 625 lam value calls (2 783 with a
     # tenth kept), and Zipf n = 3000 242 mu value calls (193). With the
-    # first stage started at the Poissonized dual point they make 1 799 and 74.
+    # first stage started at the Poissonized dual point they made 1 799 and 74.
+    # With Newton steps in (mu, lam) together, lam gets its own solve only at
+    # the start of a stage, and the d = 2 draw makes 121 lam value calls (its
+    # joint descents, counted as "mu" here, make 139).
     calls = {"mu": 0, "lam": 0}
     descend = solver_module._descend
 
