@@ -29,8 +29,7 @@ Before, lam had a damped solve of its own inside every value call of mu,
 and mu's Hessian was its Schur complement with a pseudo-inverse: under
 cProfile those lam solves took 65% of the d = 2, n = 4 benchmark solve and
 72% of the joint d = 2, n = 100 one, and the d = 2 sweep certified 59 of
-60. The joint steps are a few more (joint Zipf d = 2, n = 1000: 116 to
-132; d = 3, n = 100: 111 to 126) but much cheaper.
+60.
 
 The first stage starts at the Poissonized dual point
 ``mu_j = sum_k [log f_jk! - f_jk log n'_k]``, with f the observed columns'
@@ -57,39 +56,34 @@ damping raised keeps a tenth of it for the next step, not a hundredth: the
 next step mostly needs the same damping, and a hundredfold fall paid two
 rejected trials to climb back (see :func:`_descend`).
 
-Each stage after the first (from the third on, at two or three budgets)
-starts from a prediction of its point of the central path, if ``F_t`` is
-lower there than at the last stage's end ``mu_k`` (at two or three budgets,
-both with lam on its minimiser); the prediction's value state is then
-handed to the descent, so the start is evaluated once. A stage that takes
-no step from the prediction reruns from ``mu_k``: the point can be lower in
-``F_t`` and still leave the damped steps stuck, and ``[[200, 1], [100, 1]]``
-at eps = 0.5 then ended uncertified.
+Each stage after the first starts from a prediction of its point of the
+central path, if ``F_t`` is lower there than at the last stage's end ``x_k``
+(at two or three budgets, both with lam on its minimiser); the prediction's
+value state is then handed to the descent, so the start is evaluated once. A
+stage that takes no step from the prediction reruns from ``x_k``: the point
+can be lower in ``F_t`` and still leave the damped steps stuck, and
+``[[200, 1], [100, 1]]`` at eps = 0.5 then ended uncertified.
 
-At one budget the prediction is the path's tangent (the predictor step of
-predictor-corrector path following). There lam has the closed form
-``t logsumexp(x)`` with ``x_i = W_i / (level_i t)``, so at fixed mu the
-smoothed primal rows ``a = softmax(x) / level`` move as
-``da/dt = -(1/t) a (x - xbar)``, ``xbar`` the softmax mean of x. The end
-point's gradient ``c - P^T a`` is zero, and only ``a`` depends on t, so
-``dmu/dt = H^-1 P^T da/dt`` with the reduced Hessian ``H`` that the descent
-already built there (solved at its least damping), and the tenfold fall
-``dt = -0.9 t`` gives the step ``0.9 H^-1 P^T (a (x - xbar))``. The 0.9 is
-the schedule's, not a tuned constant. Started at ``mu_k``, where the Newton
-decrement of the new stage is 1e5 to 1e9 at Zipf n = 10 000, each stage took
-20 to 28 damped steps before its quadratic phase; that solve took 160 steps,
-117 from the secant below, and 90 from the tangent.
-
-At two or three budgets a stage starts, from the third stage on, on the
-secant through the last two stage ends, ``x_k + 0.1 (x_k - x_{k-1})`` with
-``x = (mu, lam)``, the path extrapolated linearly in t (0.1 is
-``(t_{k+1} - t_k) / (t_k - t_{k-1})`` for the tenfold schedule), and its lam
-then put on its minimiser as above. A tangent there needs lam's
-sensitivity, ``dlam/dt = -M^-1 L^T (q kappa s)``. With lam solved inside
-every value call it halved the steps of joint Zipf d = 2 solves, but the
-joint Zipf d = 3, n = 100 solve ended uncertified (1.73 times delta after
-226 steps), and the d = 2 few-symbol sweep certified 58 of its 60 inputs,
-against 59 on the secant.
+The prediction is the path's tangent (the predictor step of
+predictor-corrector path following). The path's point ``x = (mu, lam)``
+zeroes the gradient ``(c - P^T a, 1 - L^T a)``, and at fixed x only
+``a_i = exp(s_i) / kappa_i`` depends on t, with
+``s_i = (W_i - lam . level_i) / (kappa_i t)``, so ``da/dt = -a s / t``.
+Hence ``dx/dt = -H^-1 d_t grad = -H^-1 (P^T (a s), L^T (a s)) / t``, with
+the Hessian ``H`` that the descent already built at the stage's end (solved
+at its least damping), and the tenfold fall ``dt = -0.9 t`` gives the step
+``0.9 H^-1 (P^T (a s), L^T (a s))``; a lam at its zero bound is held there.
+The 0.9 is the schedule's, not a tuned constant. At one budget lam's closed
+form ``t logsumexp(x)``, with ``x_i = W_i / (level_i t)``, makes
+``s = x - logsumexp(x)``, and eliminating lam from the system leaves the mu
+step ``0.9 H^-1 P^T (a (x - xbar))`` with the reduced Hessian, ``xbar`` the
+softmax mean of x. Started at ``x_k``, where the Newton decrement of the new
+stage is 1e5 to 1e9 at Zipf n = 10 000, each stage took 20 to 28 damped
+steps before its quadratic phase; that solve took 160 steps, 117 from the
+secant through the last two stage ends, ``x_k + 0.1 (x_k - x_{k-1})``, and
+90 from the tangent. At two or three budgets the secant started the stages
+from the third on: joint Zipf d = 2, n = 1000 took 132 steps and d = 3,
+n = 300 139, against 71 and 81 from the tangent.
 
 The Newton steps are value first: a trial point gets only its value, and
 the gradient and Hessian are built from the state of a point once it is
@@ -579,16 +573,22 @@ class _ReducedDual:
         grad = np.concatenate([self.c - mass, 1.0 - L.T @ used])
         return grad, np.block([[H, K], [K.T, (L.T * q) @ L]]), (lam, a, W, rows, P)
 
-    def tangent(self, a, W, rows, P, H: np.ndarray) -> np.ndarray | None:
-        """The step in mu along the central path from ``t`` to ``t / 10``, to
-        first order, at one budget: ``0.9 H^-1 P^T (a (x - xbar))`` from an
-        accepted point's :meth:`derivatives` state and Hessian (see the
-        module). None if the Hessian is singular."""
+    def tangent(self, lam, a, W, rows, P, H: np.ndarray) -> np.ndarray | None:
+        """The step along the central path from ``t`` to ``t / 10``, to first
+        order, from an accepted point's lam, :meth:`derivatives` state and
+        Hessian (see the module). None if the Hessian is singular."""
         x = W / (self.kappa * self.t)
-        x -= (self.kappa * a) @ x  # the weights kappa_i a_i are softmax(x): they sum to one
+        if lam.size == 1:  # lam eliminated: 0.9 H^-1 P^T (a (x - xbar))
+            x -= (self.kappa * a) @ x  # the weights kappa_i a_i are softmax(x): they sum to one
+            b = P.T @ (a * x)[rows]
+        else:  # x becomes s; a lam at its zero bound is held there
+            x -= (self.levels @ lam) / (self.kappa * self.t)
+            free = np.r_[np.ones(self.c.size, dtype=bool), lam > 0]
+            b = np.r_[P.T @ (a * x)[rows], self.levels.T @ (a * x)] * free
+            H = np.where(np.outer(free, free) | np.eye(free.size, dtype=bool), H, 0.0)
         scale = float(np.abs(np.diag(H)).max(initial=0.0)) + 1e-300
         try:
-            step = _damped_solve(H, P.T @ (a * x)[rows], 0.0, scale)
+            step = _damped_solve(H, b, 0.0, scale)
         except np.linalg.LinAlgError:
             return None
         return 0.9 * step if np.all(np.isfinite(step)) else None
@@ -645,7 +645,7 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
                         lower=lower, rtol=rtol, tau=tau, evaluated=evaluated)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for stage in range(_STAGES):
+        for _ in range(_STAGES):
             here, evaluated = dual.settle(x) if spec.dim > 1 else (x, None)
             start = here
             if ahead is not None:  # the predicted start, if F_t is lower there (see the module)
@@ -653,16 +653,12 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
                 at_here = dual.value(here)[0] if evaluated is None else evaluated[0]
                 ahead, trial = dual.settle(ahead) if spec.dim > 1 else (ahead, dual.value(ahead))
                 start, evaluated = (ahead, trial) if trial[0] < at_here else (here, None)
-            new_x, (lam_t, a, W, rows, P), taken, tau, H = descend(start, evaluated)
+            x, (lam_t, a, W, rows, P), taken, tau, H = descend(start, evaluated)
             if taken == 0 and start is not here:  # stuck at the prediction: rerun from here
                 del P  # no second P while the rerun runs
-                new_x, (lam_t, a, W, rows, P), taken, tau, H = descend(here, None)
-            if spec.dim == 1:  # the central path's tangent
-                step = dual.tangent(a, W, rows, P, H)
-                ahead = None if step is None else new_x + step
-            else:  # the last two stage ends, extrapolated linearly in t
-                ahead = new_x + 0.1 * (new_x - x) if stage else None
-            x = new_x
+                x, (lam_t, a, W, rows, P), taken, tau, H = descend(here, None)
+            step = dual.tangent(lam_t, a, W, rows, P, H)  # the central path's tangent
+            ahead = None if step is None else x + step
             mu = x[: spec.num_cols - 1]
             steps += taken
             X = dual.scratch  # C - mu is not read again: the candidate is built there

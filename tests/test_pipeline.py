@@ -142,19 +142,26 @@ def zipf(k: int, shift: int = 0) -> np.ndarray:
     return np.roll(p / p.sum(), shift)
 
 
-def test_zipf_n10000_certifies_at_default_delta():
-    # n = 10 000 draws from Zipf(1) over k = 5 000 symbols: 423 levels and
-    # 56 observed frequencies on the default grids. Started from the last
-    # stage's end point, each stage took 20 to 28 damped steps, 160 in all;
-    # started from the extrapolated central path, 117; started on its
-    # tangent, 90; with the first stage started at the Poissonized dual
-    # point, 48.
-    sample = np.random.default_rng(0).choice(5000, size=10_000, p=zipf(5000))
-    dist, diag = approximate_pml(profile_of_sequence(sample.tolist()))
+@pytest.mark.parametrize("d, n, most", [(1, 10_000, 55), (2, 1000, 80)])
+def test_zipf_certifies_at_default_delta(d, n, most):
+    # d sequences of n draws from Zipf(1) over k = n/2 symbols, coordinate s
+    # rotated by s places. d = 1, n = 10 000 has 423 levels and 56 observed
+    # frequencies on the default grids. Started from the last stage's end
+    # point, each stage took 20 to 28 damped steps, 160 in all; started from
+    # the extrapolated central path, 117; started on its tangent, 90; with
+    # the first stage started at the Poissonized dual point, 48. The joint
+    # d = 2, n = 1000 draw took 132 steps from the secant through the last
+    # two stage ends, and takes 71 on the tangent.
+    rng = np.random.default_rng(0)
+    sequences = [rng.choice(n // 2, size=n, p=zipf(n // 2, s)).tolist() for s in range(d)]
+    if d == 1:
+        dist, diag = approximate_pml(profile_of_sequence(sequences[0]))
+    else:
+        dist, diag = approximate_pml_d(d_profile_of(sequences))
     assert diag.certified
-    assert diag.solver_iterations <= 55
+    assert diag.solver_iterations <= most
     assert 0 <= diag.solver_gap <= diag.delta
-    assert dist.counts @ dist.values == pytest.approx(1.0)
+    assert np.atleast_1d(dist.counts @ dist.values) == pytest.approx(np.ones(d))
 
 
 def test_zipf_pair_n100_certifies_at_default_delta():
