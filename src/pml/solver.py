@@ -14,98 +14,77 @@ budget lam has a closed form and is eliminated, and mu takes
 Levenberg-Marquardt-damped Newton steps on the reduced function. At two or
 three, the steps are taken in ``(mu, lam)`` together, with lam bound below
 by zero: one Newton system per step, as in path following. t falls tenfold
-per stage from 0.1 n'.
+per stage from 0.1 n', and each stage starts its damping where the last
+stage's first step was accepted, as the stages are nearby problems.
 
-Each joint stage first puts lam on its exact minimiser at the start's mu
-(one solve of at most three variables by :func:`_budget_multipliers`), at
-the start and at the predicted start. A tenfold fall of t multiplies every
-exponent ``s_i`` tenfold, and the stages from the second otherwise started
-with every ``a_i`` near zero and the budget gradient at one: the joint
-d = 2, n = 1000 Zipf draw then took 299 steps, and n = 3000 certified only
-on the last of its 300 default steps. The joint descent stops at a
-predicted decrease of 1e-20 of the value, as the lam solve does; at 1e-13
-the d = 2 few-symbol sweep certified 59 of its 60 inputs, against all 60.
-Before, lam had a damped solve of its own inside every value call of mu,
-and mu's Hessian was its Schur complement with a pseudo-inverse: under
-cProfile those lam solves took 65% of the d = 2, n = 4 benchmark solve and
-72% of the joint d = 2, n = 100 one, and the d = 2 sweep certified 59 of
-60.
+At two or three budgets each stage first puts lam on its exact minimiser at
+the start's mu (:func:`_budget_multipliers`): a tenfold fall of t multiplies
+every exponent ``s_i`` tenfold, which leaves every ``a_i`` near zero and the
+budget gradient at one. The joint descent stops at a predicted decrease of
+1e-20 of the value, as the lam solve does, which meets the active budgets
+to roundoff.
 
 The first stage starts at the Poissonized dual point
 ``mu_j = sum_k [log f_jk! - f_jk log n'_k]``, with f the observed columns'
 frequencies and n' the discretized lengths (floored at one). At
-``lam = n'`` its row terms are Poisson probabilities:
+``lam = n'`` its row terms are Poisson probabilities,
 ``exp(C_ij - mu_j - lam . level_i) = prod_k Pois(f_jk; n'_k level_ik)``,
 and the unseen column's term ``exp(-lam . level_i)`` is that of zero
 counts. The frequency tuples are distinct, so a row's terms sum to at most
-one: ``W_i <= lam . level_i`` on every row, and the start is a feasible dual
-point before any Newton step (Zipf n = 10 000: worst row slack -7e-16, dual
-value -56 659.5 against a relaxed optimum of -56 737.0). Each column's
-nearest level, ``mu_j = C_ij - log c_j`` there, left out the budget term
-``lam . level_i``, which is about f_j, and missed the first stage's end by
-up to 1 210 log units at Zipf n = 10 000. That stage took 19, 21, 21 and 48
-Newton steps at Zipf n = 300, 1000, 3000 and 10 000, and n = 10^6 used all
-300 default steps in it; from the Poissonized point it takes 5 to 6, and
-n = 10^6 certifies in 93 steps.
+one: ``W_i <= lam . level_i`` on every row, a feasible dual point.
 
-Each stage starts its damping where the previous stage's first step was
-accepted, not at zero: the stages are nearby problems, and a damping
-restarted at zero climbs the same tenfold ladder again, up to 19 rejected
-trials before the stage's first step. Within a stage, a step that needed its
-damping raised keeps a tenth of it for the next step, not a hundredth: the
-next step mostly needs the same damping, and a hundredfold fall paid two
-rejected trials to climb back (see :func:`_descend`).
-
-Each stage after the first starts from a prediction of its point of the
-central path, if ``F_t`` is lower there than at the last stage's end ``x_k``
-(at two or three budgets, both with lam on its minimiser); the prediction's
-value state is then handed to the descent, so the start is evaluated once. A
-stage that takes no step from the prediction reruns from ``x_k``: the point
-can be lower in ``F_t`` and still leave the damped steps stuck, and
-``[[200, 1], [100, 1]]`` at eps = 0.5 then ended uncertified.
-
-The prediction is the path's tangent (the predictor step of
-predictor-corrector path following). The path's point ``x = (mu, lam)``
-zeroes the gradient ``(c - P^T a, 1 - L^T a)``, and at fixed x only
-``a_i = exp(s_i) / kappa_i`` depends on t, with
-``s_i = (W_i - lam . level_i) / (kappa_i t)``, so ``da/dt = -a s / t``.
-Hence ``dx/dt = -H^-1 d_t grad = -H^-1 (P^T (a s), L^T (a s)) / t``, with
-the Hessian ``H`` that the descent already built at the stage's end (solved
-at its least damping), and the tenfold fall ``dt = -0.9 t`` gives the step
+Each later stage starts on the central path's tangent (the predictor step
+of path following) if ``F_t`` is lower there than at the last stage's end
+``x_k``, both with lam on its minimiser at two or three budgets, and the
+prediction's value state is handed to the descent. A stage that takes no
+step from the prediction reruns from ``x_k``: the point can be lower in
+``F_t`` and still leave the damped steps stuck, as ``[[200, 1], [100, 1]]``
+at eps = 0.5 did. The path's point ``x = (mu, lam)`` zeroes the gradient
+``(c - P^T a, 1 - L^T a)``, and at fixed x only ``a_i = exp(s_i) / kappa_i``
+depends on t, with ``s_i = (W_i - lam . level_i) / (kappa_i t)``, so
+``da/dt = -a s / t``. Hence ``dx/dt = -H^-1 (P^T (a s), L^T (a s)) / t``,
+with the Hessian ``H`` the descent built at the stage's end, and the
+tenfold fall ``dt = -0.9 t`` gives the step
 ``0.9 H^-1 (P^T (a s), L^T (a s))``; a lam at its zero bound is held there.
-The 0.9 is the schedule's, not a tuned constant. At one budget lam's closed
-form ``t logsumexp(x)``, with ``x_i = W_i / (level_i t)``, makes
-``s = x - logsumexp(x)``, and eliminating lam from the system leaves the mu
-step ``0.9 H^-1 P^T (a (x - xbar))`` with the reduced Hessian, ``xbar`` the
-softmax mean of x. Started at ``x_k``, where the Newton decrement of the new
-stage is 1e5 to 1e9 at Zipf n = 10 000, each stage took 20 to 28 damped
-steps before its quadratic phase; that solve took 160 steps, 117 from the
-secant through the last two stage ends, ``x_k + 0.1 (x_k - x_{k-1})``, and
-90 from the tangent. At two or three budgets the secant started the stages
-from the third on: joint Zipf d = 2, n = 1000 took 132 steps and d = 3,
-n = 300 139, against 71 and 81 from the tangent.
+At one budget lam's closed form ``t logsumexp(x)``, with
+``x_i = W_i / (level_i t)``, makes ``s = x - logsumexp(x)``, and eliminating
+lam leaves the mu step ``0.9 H^-1 P^T (a (x - xbar))`` with the reduced
+Hessian, ``xbar`` the softmax mean of x.
 
 The Newton steps are value first: a trial point gets only its value, and
-the gradient and Hessian are built from the state of a point once it is
-accepted (most trials are rejected). A value call takes one ``exp`` over the
-level-by-column table, and the derivatives reuse it. Every exponential on
-that path is clipped from below at ``EXP_FLOOR`` = -700 (:func:`clipped_exp`),
-which keeps numpy's ``exp`` off its slow underflow path: the row terms span
-thousands of log units, and without the clip most value calls underflow. A
-clipped term is only ever raised, never lowered. The Hessian drops rows
-with ``a_i <= 1e-150`` and entries of ``P`` below 1e-150, which keeps its
-matrix product off subnormal numbers; see :class:`_ReducedDual`.
+the gradient and Hessian are built once a point is accepted (most trials
+are rejected). A trial reads its row terms off the last accepted point, the
+anchor ``mu0``, whose ``W0`` and ``P0_ij = exp(C_ij - mu0_j - W0_i)`` the
+descent already holds:
+
+    W_i(mu) = W0_i + log(exp(-W0_i) + (P0 v)_i),  v_j = exp(mu0_j - mu_j).
+
+This is exact, as each row of P0 with its unseen term ``exp(-W0_i)`` sums to
+one, and costs one matrix-vector product; an accepted point's P is the
+anchor's rescaled in place, ``P0_ij v_j exp(W0_i - W_i)``. Entries of P
+below ``FLOOR`` = 1e-150 are zero, so an anchored sum can miss terms: one
+zeroed at an anchor ``mu_k`` is at most ``FLOOR e^r`` of its row at mu,
+with r the range of ``mu - mu_k`` over the columns and the unseen column's
+fixed 0. A trial whose r exceeds ``REACH`` = 300 for an anchor since the
+last exact pass gets an exact pass instead. The anchored W then misses at
+most ``J FLOOR e^300 = J 2e-20`` of a row, and every product in ``P0 v``
+is a normal number. Each stage starts with an exact pass, which also
+bounds the roundoff the rescales accumulate to one stage. An exact pass
+takes one ``exp`` over the level-by-column table (:func:`_log1p_sum_exp`),
+clipped from below at ``EXP_FLOOR`` = -700, which keeps numpy's ``exp`` off
+its slow underflow path: the row terms span thousands of log units.
 
 Each stage proposes one primal point, its smoothed primal
 ``X_ij = a_i softmax_j(C_ij - mu_j)`` (with the unseen column's logit 0) made
 feasible by :func:`_feasible`; the boundary start :func:`initial_point` is
 the first candidate, for feasible sets with no interior. Both make a point
 feasible by the least blend toward one that fits the budget, in closed form
-(:func:`_toward_budget`). The certified gap
-is the dual value, repaired to feasibility against the row terms, minus the
-exact relaxed score of the best feasible candidate. The clip can only
-overstate a row term, so lam repaired against it is feasible for the exact
-ones too; neither bound depends on how the point or multipliers were found.
+(:func:`_toward_budget`). The certified gap is the dual value, repaired to
+feasibility against the exact row terms of :func:`_row_terms`, minus the
+exact relaxed score of the best feasible candidate. The anchored W only
+steers the steps. The clip can only overstate a row term, so lam repaired
+against it is feasible for the exact ones too; neither bound depends on how
+the point or multipliers were found.
 """
 
 from __future__ import annotations
@@ -268,12 +247,10 @@ def _log1p_sum_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``W``, ``E = exp(Z - top)`` and ``terms = exp(-top) + sum_j E_ij``,
     shifted by ``top = max(0, max_j Z_ij)``, so that ``W = top + log(terms)``
     and ``exp(Z - W) = E / terms``. ``E`` is ``Z`` itself, overwritten: no
-    caller reads Z again, and a second level-by-column array per call is what
-    a trial point would cost. Every shifted exponent is clipped at
-    ``EXP_FLOOR``, so no ``exp`` underflows. The clip only raises terms, so
-    ``W`` is never below the exact value, and it exceeds it by at most
-    ``(J + 1) e^-700`` relative (the largest shifted term is one), which is
-    lost in roundoff.
+    caller reads Z again. Every shifted exponent is clipped at ``EXP_FLOOR``,
+    so no ``exp`` underflows. The clip only raises terms, so ``W`` is never
+    below the exact value, and it exceeds it by at most ``(J + 1) e^-700``
+    relative (the largest shifted term is one), which is lost in roundoff.
     """
     top = Z.max(axis=1, initial=0.0)
     E = np.subtract(Z, top[:, None], out=Z)
@@ -285,10 +262,12 @@ def _log1p_sum_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _row_terms(spec: AssignmentSpec, mu: np.ndarray) -> np.ndarray:
     """``W_i = log(1 + sum_j exp(C_ij - mu_j))`` per row, never undercounted.
 
-    A bound repaired against an undercounted W is no bound at all. The clip
-    in :func:`_log1p_sum_exp` only overstates W, so lam repaired against it
-    satisfies every true row constraint too, and the dual value stays an
-    upper bound. ``C - mu`` is column-major as in :class:`_ReducedDual`.
+    A bound repaired against an undercounted W is no bound at all. This is
+    an exact pass, whose clip (:func:`_log1p_sum_exp`) only overstates W, so
+    lam repaired against it satisfies every true row constraint too, and the
+    dual value stays an upper bound. The anchored W of :class:`_ReducedDual`
+    can miss up to ``J FLOOR e^REACH`` of a row, and the certificate never
+    reads it. ``C - mu`` is column-major as in :class:`_ReducedDual`.
     """
     return _log1p_sum_exp(np.subtract(spec.lin_coeff[:, 1:], mu, order="F"))[0]
 
@@ -332,32 +311,27 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
 
     Value first: ``value(x)`` returns ``(f(x), state)`` and is all a trial
     point gets; ``derivatives(x, state)`` returns ``(grad, hessian, state)``
-    and runs only at the start and at each accepted point, so a descent that
-    takes k steps builds k + 1 Hessians however many trials it rejects. A
-    caller that has just evaluated the start passes that ``(f, state)`` as
-    ``evaluated``, and the start costs no second value call. With a
-    ``lower`` bound (one for all coordinates, or one each, -inf for a free
-    one), steps are projected onto it and bound coordinates whose gradient
-    points outward are decoupled from the rest.
+    and runs only at the start and at each accepted point, on the state of
+    the last value call. A caller that has just evaluated the start passes
+    that ``(f, state)`` as ``evaluated``. With a ``lower`` bound (one for all
+    coordinates, or one each, -inf for a free one), steps are projected onto
+    it and bound coordinates whose gradient points outward are decoupled
+    from the rest.
 
-    The damping is ``tau`` times the largest Hessian diagonal entry. It starts
-    at ``tau`` and rises tenfold per rejected trial. After an accepted step
-    it falls a hundredfold if the step was accepted at its first trial, and
-    tenfold if the damping had to rise: falling a hundredfold there mostly
-    rejected the next two trials (tau / 100, tau / 10) before accepting at
-    ``tau`` again, three value calls per step. A caller that solves a
-    sequence of related problems passes the first accepted ``tau`` of one as
-    the start of the next, so it does not climb the same ladder again. If
-    ``tau`` reaches 1e8 with no accepted trial, the step restarts once from
-    zero with the scale raised to the largest gradient entry: a Hessian that
-    has collapsed (largest diagonal entry 1e-11 against a gradient of order
-    one) otherwise proposes steps of hundreds of units at every damping.
+    The damping is ``tau`` times the largest Hessian diagonal entry. It rises
+    tenfold per rejected trial. After an accepted step it falls a
+    hundredfold, or tenfold if it had to rise: a hundredfold fall there
+    mostly rejected the next two trials before accepting at ``tau`` again.
+    If ``tau`` reaches 1e8 with no accepted trial, the step restarts once
+    from zero with the scale raised to the largest gradient entry: a
+    collapsed Hessian (largest diagonal entry 1e-11 against a gradient of
+    order one) otherwise proposes steps of hundreds of units at every
+    damping.
 
     A trial is accepted on sufficient decrease (Armijo, 1e-4 of the predicted
-    decrease). A trial whose predicted decrease is below 1e-14 of the value
-    is accepted unless it raises the value by more than that: the value's
-    roundoff then hides the decrease, and the lam solve, which asks for
-    ``rtol`` = 1e-20 as the joint descent does, otherwise stalled with budget
+    decrease), or, when a predicted decrease below 1e-14 of the value is
+    hidden by the value's roundoff, unless it raises the value by more than
+    that: without this the lam solve (``rtol`` = 1e-20) stalled with budget
     residuals near 1e-9.
 
     Stops when the predicted decrease over the free coordinates falls to
@@ -446,60 +420,46 @@ class _ReducedDual:
     """F_t over the observed columns, split value first: in mu with lam
     eliminated at one budget, in ``x = (mu, lam)`` at two or three.
 
-    :meth:`value` is what a Newton trial needs: the row terms ``W`` with the
-    shifted exponentials ``E`` of ``Z = C - mu`` and the row sums ``terms``
-    they are built from (:func:`_log1p_sum_exp`), the budget multipliers
-    ``lam`` and the exponents ``s``, and ``F_t``. :meth:`derivatives` turns
-    an accepted point's state into the gradient and Hessian, with
-    ``P = exp(Z - W) = E / terms`` (no second ``exp``), ``a = exp(s) / kappa``,
-    ``q = a / (kappa t)``, ``L`` the levels, ``K = P^T diag(q) L``,
-    ``M = L^T diag(q) L`` and ``H = diag(P^T a) + P^T diag(q - a) P``. At
-    one budget they are the reduced gradient ``c - P^T a`` and the Schur
-    complement ``H - K K^T / M``; at two or three, the joint gradient
-    ``(c - P^T a, 1 - L^T a)`` and Hessian ``[[H, K], [K^T, M]]``.
+    :meth:`value` gives a trial's ``F_t`` with its row terms ``W``, budget
+    multipliers ``lam`` and exponents ``s``; an exact pass also keeps the
+    shifted exponentials ``E`` of ``Z = C - mu`` and their row sums
+    ``terms`` (:func:`_log1p_sum_exp`), otherwise W is read off the anchor
+    (see the module). :meth:`derivatives` turns an accepted point's state
+    into the gradient and Hessian, with ``P = exp(Z - W)``,
+    ``a = exp(s) / kappa``, ``q = a / (kappa t)``, ``L`` the levels,
+    ``K = P^T diag(q) L``, ``M = L^T diag(q) L`` and
+    ``H = diag(P^T a) + P^T diag(q - a) P``: at one budget the reduced
+    gradient ``c - P^T a`` and the Schur complement ``H - K K^T / M``, at
+    two or three the joint gradient ``(c - P^T a, 1 - L^T a)`` and Hessian
+    ``[[H, K], [K^T, M]]``.
 
     The derivatives drop rows with ``a_i <= FLOOR`` and zero the entries of
-    ``P`` below it (``FLOOR`` = 1e-150). A dropped term is FLOOR times at
-    most ``max(1, a_i / (kappa_i t))``, and ``a_i / (kappa_i t)`` is below
-    2e12 n^2 (a row holds at most n' elements, the smallest level is about
-    1 / (2 n^2), t is at least 1e-12 n'). Up to n = 1e9 that is below
-    1e-120, more than 100 orders of magnitude under the roundoff of the
-    entries of order ``c_j >= 1`` it is added to. The floor keeps the
-    Hessian's operands normal: nearly empty rows (``a_i`` down to 1e-308) and
-    ``exp(Z - W)`` down to e^-21444 made its matrix product ten times slower.
-    It does not keep every product of three operands normal:
-    ``P_ij (q_i - a_i) P_ik`` can still fall below 1e-308, and under
-    ``np.errstate(under="raise")`` that product underflows in 54 of 113 calls
-    at Zipf n = 3000 and 44 of 166 at n = 10 000. A floor of 1e-100 leaves one
-    such call each, with the same Newton steps, but was no faster in paired
-    timings.
+    ``P`` below it. A dropped term is FLOOR times at most
+    ``max(1, a_i / (kappa_i t))``, below 2e12 n^2 (a row holds at most n'
+    elements, the smallest level is about 1 / (2 n^2), t is at least
+    1e-12 n'): up to n = 1e9, over 100 orders of magnitude under the
+    roundoff of the entries of order ``c_j >= 1`` it is added to. The floor
+    keeps the Hessian's operands normal: nearly empty rows (``a_i`` down to
+    1e-308) and ``exp(Z - W)`` down to e^-21444 made its matrix product ten
+    times slower. Every exponential here is :func:`clipped_exp`; an entry of
+    P or a row's ``a_i`` that the clip touches (at most ``e^-700 / kappa_i``)
+    is below FLOOR and dropped, as it would be unclipped. The Hessian and
+    the anchored W only steer the steps; the certificate reads the exact
+    :func:`_row_terms`.
 
-    Every exponential here is :func:`clipped_exp`, floored at ``e^-700``
-    (about 1e-304), which keeps numpy's ``exp`` off its slow underflow path.
-    The clip only raises a term, so ``W`` (see :func:`_log1p_sum_exp`) and
-    ``F_t`` can only be overstated, by amounts lost in roundoff. An entry of
-    ``P`` that the clip touches is below ``FLOOR`` and is zeroed, as it would
-    be unclipped, and a row whose ``a_i`` is clipped (at most
-    ``e^-700 / kappa_i``, with ``kappa_i`` at least about ``1 / (2 n^2)``) is
-    dropped. The Hessian only steers the steps. The certificate reads
-    :func:`_row_terms`, which the same clip can only overstate, in
-    :func:`_repaired_dual_value`, and scores the primal exactly with
-    :func:`log_weight_relaxed`.
-
-    Level-by-column arrays: ``C`` is a view of the spec's table. ``C - mu``
-    is written into ``scratch``, one array the dual keeps for all its calls,
-    and becomes ``E`` there, so a value state is good until the next value
-    call, which is all :func:`_descend` asks of it. A new array per trial
-    point made the process's peak RSS swing by up to two such arrays from
-    run to run (d = 3, n = 300: 140 to 162 MB, against 118 MB with the
-    scratch array). :meth:`derivatives` copies ``E / terms`` into a new
-    row-major ``P`` (the BLAS products below give other bits on a
-    column-major one), then writes the Hessian's row-weighted copy of ``P``
-    over ``E``. Between descents, :func:`solve` builds its candidate in
-    ``scratch``.
+    Level-by-column arrays: ``C`` is a view of the spec's table, and the dual
+    holds two more, ``scratch`` and the anchor's row-major ``P`` (the BLAS
+    products give other bits on a column-major one). An exact pass turns
+    ``C - mu`` into ``E`` in ``scratch``, so its state is good until the next
+    value call; an anchored state is good until :meth:`derivatives` moves the
+    anchor. That is all :func:`_descend` asks. :meth:`derivatives` writes
+    ``E / terms`` into the anchor's P, or rescales it in place, and builds
+    the Hessian's weighted rows in ``scratch``. Between descents,
+    :func:`solve` builds its candidate there and drops the anchor.
     """
 
     FLOOR = 1e-150
+    REACH = 300.0  # log units a trial may range from the anchors before an exact pass
 
     def __init__(self, spec: AssignmentSpec, t: float):
         self.c = spec.col_counts.astype(float)
@@ -515,6 +475,19 @@ class _ReducedDual:
         # C - mu, column-major, in the first R (J - 1) entries of a row-major
         # (R, J) array, the shape of solve's candidates (see the class).
         self.scratch = np.empty(spec.shape)
+        self.anchor = None  # (P, mu, W, low, high) of the last accepted point
+
+    def anchored_row_terms(self, mu: np.ndarray) -> np.ndarray:
+        """``W(mu)`` from the anchor: ``W0 + log(e^-W0 + P0 exp(mu0 - mu))``."""
+        P, mu0, W0, _, _ = self.anchor
+        return W0 + np.log(clipped_exp(-W0) + P @ np.exp(mu0 - mu))
+
+    def _reach(self, mu: np.ndarray) -> float:
+        """The largest range of ``mu - mu_k`` (with the unseen column's 0)
+        over the anchors ``mu_k`` since the last exact pass, bounded through
+        their box ``[low, high]``."""
+        low, high = self.anchor[3:]
+        return max(float((mu - low).max()), 0.0) - min(float((mu - high).min()), 0.0)
 
     def value(self, x: np.ndarray, settle: bool = False):
         """``F_t(x)`` and the state ``(W, E, terms, lam, s)`` it computed.
@@ -522,11 +495,15 @@ class _ReducedDual:
         ``x`` is mu at one budget, where lam has its closed form, and
         ``(mu, lam)`` at two or three. With ``settle``, lam is first moved
         onto its minimiser at x's mu by :func:`_budget_multipliers`, warm
-        started from x's lam, and the state's lam is that minimiser.
+        started from x's lam, and the state's lam is that minimiser. ``E``
+        and ``terms`` are None when W was read off the anchor.
         """
         mu, lam = x[: self.c.size], x[self.c.size:]
-        Z = self.scratch.reshape(-1)[: self.C.size].reshape(self.C.shape[::-1]).T
-        W, E, terms = _log1p_sum_exp(np.subtract(self.C, mu, out=Z))
+        if self.anchor is None or self._reach(mu) > self.REACH:
+            Z = self.scratch.reshape(-1)[: self.C.size].reshape(self.C.shape[::-1]).T
+            W, E, terms = _log1p_sum_exp(np.subtract(self.C, mu, out=Z))
+        else:
+            W, E, terms = self.anchored_row_terms(mu), None, None
         if settle or self.levels.shape[1] == 1:
             lam, s, penalty = _budget_multipliers(W, self.levels, self.kappa, self.share_t,
                                                   self.t, lam)
@@ -545,33 +522,50 @@ class _ReducedDual:
     def derivatives(self, x: np.ndarray, state):
         """Gradient and Hessian at ``x`` from its value state, and the state
         ``(lam, a, W, rows, P)`` of the smoothed primal ``X = a_i P_ij`` (zero
-        off ``rows``). The state's ``E`` is overwritten (see the class)."""
+        off ``rows``). ``x`` becomes the anchor, and its P is the anchor's,
+        rescaled in place (see the class)."""
         W, E, terms, lam, s = state
+        mu = x[: self.c.size]
+        if E is None:
+            P, mu0, W0, low, high = self.anchor
+            P *= np.exp(mu0 - mu)
+            P *= np.exp(W0 - W)[:, None]
+            low, high = np.minimum(low, mu), np.maximum(high, mu)
+        else:  # row-major, as the BLAS products below give other bits on a column-major P
+            P = np.divide(E, terms[:, None], out=None if self.anchor is None else self.anchor[0],
+                          order="C")
+            low = high = mu
+        np.multiply(P, P >= self.FLOOR, out=P)  # zero below FLOOR; a masked store was 6x slower
+        self.anchor = (P, mu, W, low, high)
         a = clipped_exp(s) / self.kappa
         rows = a > self.FLOOR
-        if rows.all():  # the common case: every row-indexed array below is a view
-            rows, P = slice(None), E.copy(order="C")  # row-major: see the class
-        else:
-            P = E[rows]
-        P /= terms[rows, None]
-        P[P < self.FLOOR] = 0.0
-        weighted = E.reshape(-1, order="F")[: P.size].reshape(P.shape).T  # E's memory
-        kappa, used = self.kappa[rows], a[rows]
-        q = used / (kappa * self.t)
-        mass = P.T @ used
-        H = np.multiply(P.T, q - used, out=weighted) @ P
+        used = np.where(rows, a, 0.0)
+        q = used / (self.kappa * self.t)
+        L = self.levels
+        qL = q[:, None] * L
+        mass, K = used @ P, (qL.T @ P).T
+        H = self._gram(P, np.flatnonzero(rows), q - used)
         H.flat[:: mass.size + 1] += mass  # the diagonal
-        L = self.levels[rows]
         if L.shape[1] == 1:  # lam eliminated: the Schur complement of M = L^T diag(q) L
-            qL = q * L[:, 0]
-            M = float(qL @ L[:, 0])
+            M = float(qL[:, 0] @ L[:, 0])
             if M > 0:
-                K = P.T @ qL
-                H -= np.outer(K / M, K)
+                H -= np.outer(K[:, 0] / M, K[:, 0])
             return self.c - mass, H, (lam, a, W, rows, P)
-        K = np.multiply(P.T, q, out=weighted) @ L
         grad = np.concatenate([self.c - mass, 1.0 - L.T @ used])
-        return grad, np.block([[H, K], [K.T, (L.T * q) @ L]]), (lam, a, W, rows, P)
+        return grad, np.block([[H, K], [K.T, qL.T @ L]]), (lam, a, W, rows, P)
+
+    def _gram(self, P: np.ndarray, kept: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``P^T diag(w) P`` for a ``w`` that is zero off the row indices
+        ``kept``, in the scratch array and with no copy of P: over the kept
+        rows and their weighted copy if both fit in it (at most half the
+        rows), else over every row, which then costs at most twice as much."""
+        J = P.shape[1]
+        buf = self.scratch.reshape(-1)
+        n = kept.size * J
+        if 2 * n > buf.size:
+            return np.multiply(P.T, w, out=buf[: P.size].reshape(P.shape).T) @ P
+        Pk = np.take(P, kept, axis=0, out=buf[:n].reshape(-1, J), mode="clip")
+        return np.multiply(Pk.T, w[kept], out=buf[n: 2 * n].reshape(-1, J).T) @ Pk
 
     def tangent(self, lam, a, W, rows, P, H: np.ndarray) -> np.ndarray | None:
         """The step along the central path from ``t`` to ``t / 10``, to first
@@ -580,11 +574,11 @@ class _ReducedDual:
         x = W / (self.kappa * self.t)
         if lam.size == 1:  # lam eliminated: 0.9 H^-1 P^T (a (x - xbar))
             x -= (self.kappa * a) @ x  # the weights kappa_i a_i are softmax(x): they sum to one
-            b = P.T @ (a * x)[rows]
+            b = P.T @ np.where(rows, a * x, 0.0)
         else:  # x becomes s; a lam at its zero bound is held there
             x -= (self.levels @ lam) / (self.kappa * self.t)
             free = np.r_[np.ones(self.c.size, dtype=bool), lam > 0]
-            b = np.r_[P.T @ (a * x)[rows], self.levels.T @ (a * x)] * free
+            b = np.r_[P.T @ np.where(rows, a * x, 0.0), self.levels.T @ (a * x)] * free
             H = np.where(np.outer(free, free) | np.eye(free.size, dtype=bool), H, 0.0)
         scale = float(np.abs(np.diag(H)).max(initial=0.0)) + 1e-300
         try:
@@ -600,24 +594,22 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
     Each stage runs Newton steps in mu (at one budget) or in (mu, lam) (at
     two or three) until they stop decreasing the smoothed dual, then scores
     its smoothed primal and its repaired dual bound. The first stage starts
-    at the Poissonized dual point, a feasible dual point with ``lam = n'``
-    (5 to 6 steps on Zipf n = 300 to 10 000 draws, against 19 to 48 from
-    each column's nearest level); each later one starts from the last
-    stage's end point or a prediction of the central path, at two or three
-    budgets with lam first put on its minimiser (see the module). The solve
-    stops once the certified gap drops below ``config.delta``; a gap still
-    above it when the stages or the ``config.max_iters`` Newton steps run
-    out flags the result non-certified. It runs on the observed columns and
-    returns its point in the caller's shape, zero on the empty columns.
+    at the Poissonized dual point; each later one at the last stage's end
+    point or on the central path's tangent, at two or three budgets with lam
+    first put on its minimiser (see the module). The solve stops once the
+    certified gap drops below ``config.delta``; a gap still above it when the
+    stages or the ``config.max_iters`` Newton steps run out flags the result
+    non-certified. It runs on the observed columns and returns its point in
+    the caller's shape, zero on the empty columns.
 
     Level-by-column arrays: the spec's table (``_ReducedDual.C`` is a view of
-    it), the best point so far, the dual's scratch array (``C - mu`` during a
-    descent, the stage's candidate after it) and the accepted point's ``P``
-    exist throughout; a trial value, a Hessian or a score adds one more while
-    it runs. A spec whose columns are all observed, as the pipeline's are, is
-    solved as given and its best point returned as is; only a spec with empty
-    columns is rebuilt without them (a second table) and its point padded
-    back with zeros.
+    it), the best point so far and the dual's scratch array exist
+    throughout, and the anchor's ``P`` while a stage descends. The stage's
+    candidate is built in the scratch array, with the anchor dropped, and
+    scoring it adds one more array. A spec whose columns are all observed, as
+    the pipeline's are, is solved as given and its best point returned as
+    is; only a spec with empty columns is rebuilt without them (a second
+    table) and its point padded back with zeros.
     """
     if spec.row_counts is not None:
         raise ValueError("the solver is for the budget (fractional) variant")
@@ -655,18 +647,18 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
                 start, evaluated = (ahead, trial) if trial[0] < at_here else (here, None)
             x, (lam_t, a, W, rows, P), taken, tau, H = descend(start, evaluated)
             if taken == 0 and start is not here:  # stuck at the prediction: rerun from here
-                del P  # no second P while the rerun runs
+                del P
+                dual.anchor = None  # an exact start, and no second P while the rerun runs
                 x, (lam_t, a, W, rows, P), taken, tau, H = descend(here, None)
             step = dual.tangent(lam_t, a, W, rows, P, H)  # the central path's tangent
             ahead = None if step is None else x + step
             mu = x[: spec.num_cols - 1]
             steps += taken
             X = dual.scratch  # C - mu is not read again: the candidate is built there
-            X.fill(0.0)
             X[:, 0] = a * np.exp(-W)
-            P *= a[rows, None]
-            X[rows, 1:] = P
-            del P  # one level-by-column array fewer while the candidate is scored
+            np.multiply(P, np.where(rows, a, 0.0)[:, None], out=X[:, 1:])
+            del P  # one level-by-column array fewer while the candidate is scored,
+            dual.anchor = None  # and the next stage starts with an exact pass
             bound = min(bound, _repaired_dual_value(spec, mu, lam_t)[0])
             X = _feasible(X, spec)
             value = -np.inf if X is None else log_weight_relaxed(X, spec)
