@@ -36,7 +36,7 @@ _BOUNDARY_SNAP = 1e-12
 # the product grid of a joint profile: 64 times the largest grid in use
 # (15 625 levels, d = 3 at n = 100). Each level is a row of the assignment
 # problem, so a grid this size is already far past what the solve can take.
-# Frequency grids and their products are held to the same limit.
+# Each coordinate's frequency grid is held to the same limit.
 MAX_LEVELS = 1_000_000
 
 

@@ -1,11 +1,12 @@
 """Joint profiles over several sample sequences on a common domain (d <= 3).
 
 A d-profile counts domain elements by their tuple of frequencies across the d
-sequences. Grids become per-coordinate ladders combined into product grids,
-and the assignment machinery is reused unchanged by treating level values and
-frequencies as d-tuples. Frequency tuples may be zero in some coordinates (an
-element seen in one sequence only), so each coordinate's frequency axis is
-extended with 0; the all-zero tuple is the unseen column.
+sequences. Probability grids become per-coordinate ladders combined into a
+product grid, and the assignment machinery is reused unchanged by treating
+level values and frequencies as d-tuples. Each observed frequency tuple is
+ceiled coordinate by coordinate onto per-coordinate frequency ladders; a
+coordinate may be zero (an element seen in one sequence only) and stays zero,
+and the all-zero tuple is the unseen column.
 
 This module is on every estimate path and holds d-profiles and grids only;
 the d-dimensional oracles that check them are in :mod:`pml.exact`.
@@ -27,7 +28,6 @@ from .grids import (
     ProbabilityGrid,
     build_frequency_grid,
     build_probability_grid,
-    check_frequency_count,
     check_level_count,
 )
 from .profiles import Profile, is_whole
@@ -138,72 +138,54 @@ def d_profile_of(sequences: Sequence[Iterable[Hashable]]) -> DProfile:
 
 @dataclass(frozen=True, eq=False)
 class DGrids:
-    """Per-coordinate ladders and their cartesian products.
+    """Per-coordinate ladders and the product of the probability ladders.
 
     ``level_values`` is (R, d) with R the product of per-coordinate ladder
-    sizes; row 0 is the all-minimal tuple. ``freq_values`` holds every
-    frequency tuple of the grid: the product of each coordinate's grid
-    extended with 0, minus the all-zero tuple. A profile fills few of them;
-    the pipeline keeps only those as assignment columns.
+    sizes; row 0 is the all-minimal tuple. The frequency ladders are not
+    combined: :func:`discretize_d_profile` ceils only the observed tuples,
+    and the pipeline has one assignment column per distinct result, in
+    ascending tuple order.
     """
 
     prob_grids: tuple[ProbabilityGrid, ...]
     freq_grids: tuple[FrequencyGrid, ...]
 
     def __post_init__(self):
-        levels = _product_rows([g.values for g in self.prob_grids])
-        axes = [np.concatenate([[0], g.values]).astype(float) for g in self.freq_grids]
-        freqs = _product_rows(axes)[1:]  # drop the all-zero tuple (unseen column)
-        object.__setattr__(self, "level_values", levels)
-        object.__setattr__(self, "freq_values", freqs)
+        grids = np.meshgrid(*[g.values for g in self.prob_grids], indexing="ij")
+        object.__setattr__(self, "level_values", np.stack([g.ravel() for g in grids], axis=1))
 
     level_values: np.ndarray = None
-    freq_values: np.ndarray = None
 
     @property
     def d(self) -> int:
         return len(self.prob_grids)
 
 
-def _product_rows(axes: list[np.ndarray]) -> np.ndarray:
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(float)
-
-
 def build_d_grids(n: tuple[int, ...], eps: tuple[float, ...], gamma: tuple[float, ...]) -> DGrids:
     if not len(n) == len(eps) == len(gamma):
         raise ValueError("n, eps, gamma must have one entry per coordinate")
-    # Both products are checked before DGrids builds them.
+    # The level product is checked before DGrids builds it.
     prob = tuple(build_probability_grid(max(nk, 2), ek) for nk, ek in zip(n, eps))
     check_level_count(math.prod(len(g) for g in prob))
     freq = tuple(build_frequency_grid(nk, gk) for nk, gk in zip(n, gamma))
-    check_frequency_count(math.prod(len(g) + 1 for g in freq) - 1)
     return DGrids(prob, freq)
 
 
-def discretize_d_profile(dprofile: DProfile, grids: DGrids) -> tuple[np.ndarray, tuple[int, ...]]:
+def discretize_d_profile(dprofile: DProfile, grids: DGrids) -> tuple[np.ndarray, np.ndarray]:
     """Ceil each coordinate of every frequency tuple onto its ladder (0 stays 0).
 
-    Returns counts indexed like ``grids.freq_values`` plus the stretched
-    per-coordinate lengths.
+    Returns ``(counts, tuples)``: the distinct discretized tuples as a (J, d)
+    int64 array in ascending tuple order, and the int64 count of each.
     """
     if grids.d != dprofile.d:
         raise ValueError("grid dimension does not match the profile")
-    sizes = [len(g) + 1 for g in grids.freq_grids]  # axes include the 0 rung
-    counts = np.zeros(int(np.prod(sizes)) - 1, dtype=np.int64)
-    lengths = [0] * dprofile.d
+    merged: Counter = Counter()
     for freqs, count in dprofile.entries:
-        idx = []
-        for k, (grid, f) in enumerate(zip(grids.freq_grids, freqs)):
-            if f == 0:
-                idx.append(0)
-            else:
-                j = grid.ceil_index(int(f))
-                idx.append(j + 1)
-                lengths[k] += int(grid.values[j]) * count
-        flat = int(np.ravel_multi_index(tuple(idx), sizes))
-        counts[flat - 1] += count
-    return counts, tuple(lengths)
+        merged[tuple(grid.ceil_value(f) if f else 0
+                     for grid, f in zip(grids.freq_grids, freqs))] += count
+    tuples = sorted(merged)
+    return (np.array([merged[t] for t in tuples], dtype=np.int64),
+            np.array(tuples, dtype=np.int64))
 
 
 def log_d_profile_coefficient(dprofile: DProfile) -> float:

@@ -164,8 +164,8 @@ def approximate_pml_d(
 
     Per-coordinate grid coarseness defaults to ``n_k**(-1/(2d+1))``, which is
     ``n**(-1/3)`` at d = 1. The assignment problem has one column per
-    observed discretized frequency tuple, in grid order, plus the unseen
-    column; ``diag.num_freqs`` counts the observed ones.
+    observed discretized frequency tuple, in ascending tuple order, plus the
+    unseen column; ``diag.num_freqs`` counts the observed ones.
     """
     d = dprofile.d
     n = dprofile.n
@@ -174,12 +174,7 @@ def approximate_pml_d(
     if eps2 is None:
         eps2 = tuple(min(1.0, nk ** (-1.0 / (2 * d + 1))) for nk in n)
     grids = build_d_grids(n, eps1, eps2)
-    counts, n_disc = discretize_d_profile(dprofile, grids)
-    # Every feasible matrix is zero on an empty column, so dropping those
-    # columns keeps the feasible set and its scores, and every slack bound
-    # below holds with J = observed columns + 1.
-    observed = counts > 0
-    freqs, col_counts = grids.freq_values[observed], counts[observed]
+    col_counts, freqs = discretize_d_profile(dprofile, grids)
     spec = assignment.AssignmentSpec(
         levels=grids.level_values,
         freqs=np.vstack([np.zeros((1, d)), freqs]),
@@ -201,7 +196,7 @@ def approximate_pml_d(
     diag = PipelineDiagnostics(
         d=d,
         n=n,
-        n_disc=n_disc,
+        n_disc=disc_profile.n,
         eps1=tuple(float(e) for e in eps1),
         eps2=tuple(float(e) for e in eps2),
         delta=float(delta),

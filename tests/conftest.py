@@ -124,31 +124,47 @@ def rng():
     return make_rng(20240817)
 
 
-def every_grid_column_spec(sequences, eps=None):
-    """The pipeline's assignment problem for these samples over every grid
-    column, observed or not, at the default grids or with every eps1 and
-    eps2 equal to `eps`."""
+def default_grids(sequences, eps=None):
+    """The d-profile of these samples and the pipeline's grids for it: the
+    default grids, or every eps1 and eps2 equal to `eps`."""
     dp = d_profile_of([list(s) for s in sequences])
     if eps is None:
         eps = tuple(min(1.0, nk ** (-1.0 / (2 * dp.d + 1))) for nk in dp.n)
     else:
         eps = (eps,) * dp.d
-    grids = build_d_grids(dp.n, eps, eps)
-    counts, _ = discretize_d_profile(dp, grids)
+    return dp, build_d_grids(dp.n, eps, eps)
+
+
+def frequency_product(grids):
+    """Every frequency tuple of the grids' ladders, each extended with 0, in
+    ascending tuple order, without the all-zero tuple."""
+    axes = np.meshgrid(*[np.r_[0, g.values] for g in grids.freq_grids], indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)[1:]
+
+
+def default_grid_spec(sequences, eps=None):
+    """The pipeline's assignment problem for these samples (see
+    :func:`default_grids`): one column per observed discretized tuple."""
+    dp, grids = default_grids(sequences, eps)
+    counts, tuples = discretize_d_profile(dp, grids)
     return AssignmentSpec(
         levels=grids.level_values,
-        freqs=np.vstack([np.zeros((1, dp.d)), grids.freq_values]),
+        freqs=np.vstack([np.zeros((1, dp.d)), tuples]),
         col_counts=counts,
     )
 
 
-def default_grid_spec(sequences, eps=None):
-    """:func:`every_grid_column_spec` on its observed columns only: the
-    pipeline's assignment problem."""
-    spec = every_grid_column_spec(sequences, eps)
-    observed = spec.col_counts > 0
+def every_grid_column_spec(sequences, eps=None):
+    """:func:`default_grid_spec` over every tuple of the frequency product,
+    observed or not: the unobserved columns are empty."""
+    dp, grids = default_grids(sequences, eps)
+    counts, tuples = discretize_d_profile(dp, grids)
+    product = frequency_product(grids)
+    rows = {t: i for i, t in enumerate(map(tuple, product.tolist()))}
+    col_counts = np.zeros(len(product), dtype=np.int64)
+    col_counts[[rows[t] for t in map(tuple, tuples.tolist())]] = counts
     return AssignmentSpec(
-        levels=spec.levels,
-        freqs=spec.freqs[np.r_[True, observed]],
-        col_counts=spec.col_counts[observed],
+        levels=grids.level_values,
+        freqs=np.vstack([np.zeros((1, dp.d)), product]),
+        col_counts=col_counts,
     )

@@ -103,11 +103,11 @@ def test_criterion_03_profile_discretization():
         alphabet = int(rng.integers(2, 6))
         p = random_distribution(rng, alphabet, min_prob=min_prob_for(n))
         profile = random_profile(rng, n, alphabet)
-        # The pipeline's discretization: the d = 1 product grid, observed columns only.
+        # The pipeline's discretization: the observed tuples ceiled at d = 1.
         grids = build_d_grids((n,), (eps2,), (eps2,))
-        counts, n_disc = discretize_d_profile(DProfile.from_profile(profile), grids)
-        observed = counts > 0
-        disc = Profile(tuple(zip(grids.freq_values[observed, 0].astype(int), counts[observed])))
+        counts, tuples = discretize_d_profile(DProfile.from_profile(profile), grids)
+        n_disc = tuple(int(v) for v in counts @ tuples)
+        disc = Profile(tuple(zip(tuples[:, 0].tolist(), counts.tolist())))
         assert (disc.n,) == n_disc
         assert disc.num_observed == profile.num_observed
         here = profile_logprob(p, profile)

@@ -115,10 +115,6 @@ def test_oversized_frequency_grid_is_refused_before_it_is_built():
     for n, eps in ((10**7, 1e-7), (10**9, 1e-6)):
         with pytest.raises(GridSizeError, match="frequency grid"):
             build_frequency_grid(n, eps)
-    # Two axes of 1 001 values (0 included) are each allowed; their product is not.
-    with pytest.raises(GridSizeError, match="frequency grid"):
-        build_d_grids((1000, 1000), (0.5, 0.5), (1e-3, 1e-3))
-    assert len(build_d_grids((1000,), (0.5,), (1e-3,)).freq_values) == 1000
 
 
 def test_frequency_grid_contains_endpoints():

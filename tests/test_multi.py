@@ -22,7 +22,7 @@ from pml import (
     profile_of_sequence,
 )
 from pml import exact
-from conftest import make_rng, random_distribution, random_sequence
+from conftest import default_grids, frequency_product, make_rng, random_distribution, random_sequence
 
 
 def joint_sequence_logprob(prob_vectors, dprofile):
@@ -179,9 +179,10 @@ def test_levelset_d_with_zero_coordinate_levels():
 def test_discretize_d_profile_zero_coordinates_stay_zero():
     dp = d_profile_of(["ab", "aa"])
     grids = build_d_grids((2, 2), (1.0, 1.0), (1.0, 1.0))
-    counts, n_disc = discretize_d_profile(dp, grids)
+    counts, tuples = discretize_d_profile(dp, grids)
+    n_disc = tuple(int(v) for v in counts @ tuples)
     assert n_disc == (2, 2)  # frequencies 1 and 2 are grid members
-    nonzero = {tuple(grids.freq_values[i]): int(c) for i, c in enumerate(counts) if c}
+    nonzero = {tuple(t): int(c) for t, c in zip(tuples.tolist(), counts) if c}
     assert nonzero == {(1.0, 2.0): 1, (1.0, 0.0): 1}
 
 
@@ -193,9 +194,31 @@ def test_discretize_d_profile_stretch_bound():
         dp = d_profile_of(seqs)
         gamma = (float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.3, 1.0)))
         grids = build_d_grids(dp.n, (1.0, 1.0), gamma)
-        _, n_disc = discretize_d_profile(dp, grids)
+        counts, tuples = discretize_d_profile(dp, grids)
+        n_disc = counts @ tuples
         for k in range(2):
             assert n_disc[k] <= (1 + gamma[k]) * dp.n[k] + 1e-9
+
+
+@pytest.mark.parametrize(
+    "sequences",
+    [[np.random.default_rng(0).choice(50, size=100).tolist()],
+     ["aaaaaaabbbbccd"], ["cbcfhdhbbd", "cddbcbpccb"], ["sgdbochffb", "bbgcedfbbb", "cbfgbbbbbb"]],
+)
+def test_discretized_tuples_are_the_nonempty_rows_of_the_frequency_product(sequences):
+    # The pipeline's columns come in this order, so its outputs are those of
+    # counting every tuple into the product of the ladders (each extended
+    # with 0) and keeping the nonempty rows, bit for bit.
+    dp, grids = default_grids(sequences)
+    counts, tuples = discretize_d_profile(dp, grids)
+    sizes = [len(g) + 1 for g in grids.freq_grids]
+    full = np.zeros(math.prod(sizes) - 1, dtype=np.int64)
+    for freqs, count in dp.entries:
+        index = [g.ceil_index(f) + 1 if f else 0 for g, f in zip(grids.freq_grids, freqs)]
+        full[np.ravel_multi_index(index, sizes) - 1] += count
+    assert counts.dtype == tuples.dtype == np.int64
+    assert np.array_equal(tuples, frequency_product(grids)[full > 0])
+    assert np.array_equal(counts, full[full > 0])
 
 
 def test_log_coefficient_reduces_to_one_dimensional():

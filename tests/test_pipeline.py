@@ -164,6 +164,22 @@ def test_zipf_certifies_at_default_delta(d, n, most):
     assert np.atleast_1d(dist.counts @ dist.values) == pytest.approx(np.ones(d))
 
 
+def test_zipf_pair_certifies_at_exact_frequencies():
+    # The d = 2, n = 1000 draw above at eps2 = 1/n: every frequency up to n is
+    # a rung, so the columns are the 60 observed tuples themselves. It takes
+    # 78 Newton steps. Discretizing into the product of the two frequency
+    # ladders (1001^2 - 1 tuples) refused this run with GridSizeError.
+    n = 1000
+    rng = np.random.default_rng(0)
+    dprofile = d_profile_of([rng.choice(n // 2, size=n, p=zipf(n // 2, s)).tolist()
+                             for s in range(2)])
+    _, diag = approximate_pml_d(dprofile, eps2=(1 / n, 1 / n))
+    assert diag.num_freqs == len(dprofile.entries) == 60
+    assert diag.n_disc == dprofile.n
+    assert diag.certified
+    assert diag.solver_iterations <= 90
+
+
 def test_zipf_pair_n100_certifies_at_default_delta():
     # Two sequences of n = 100 draws over k = 50 symbols, the second from
     # Zipf(1) rotated by one place: d = 2 on a 961-level product grid.
