@@ -53,26 +53,25 @@ Hessian, ``xbar`` the softmax mean of x.
 
 The Newton steps are value first: a trial point gets only its value, and
 the gradient and Hessian are built once a point is accepted (most trials
-are rejected). A trial reads its row terms off the last accepted point, the
-anchor ``mu0``, whose ``W0`` and ``P0_ij = exp(C_ij - mu0_j - W0_i)`` the
-descent already holds:
+are rejected). A trial reads its row terms off the anchor, the last exact
+pass, at ``mu_e``, with its ``W_e`` and ``P0_ij = exp(C_ij - mu_e_j - W_e_i)``:
 
-    W_i(mu) = W0_i + log(exp(-W0_i) + (P0 v)_i),  v_j = exp(mu0_j - mu_j).
+    W_i(mu) = W_e_i + log(exp(-W_e_i) + (P0 v)_i),  v_j = exp(mu_e_j - mu_j).
 
-This is exact, as each row of P0 with its unseen term ``exp(-W0_i)`` sums to
-one, and costs one matrix-vector product; an accepted point's P is the
-anchor's rescaled in place, ``P0_ij v_j exp(W0_i - W_i)``. Entries of P
-below ``FLOOR`` = 1e-150 are zero, so an anchored sum can miss terms: one
-zeroed at an anchor ``mu_k`` is at most ``FLOOR e^r`` of its row at mu,
-with r the range of ``mu - mu_k`` over the columns and the unseen column's
-fixed 0. A trial whose r exceeds ``REACH`` = 300 for an anchor since the
-last exact pass gets an exact pass instead. The anchored W then misses at
-most ``J FLOOR e^300 = J 2e-20`` of a row, and every product in ``P0 v``
-is a normal number. Each stage starts with an exact pass, which also
-bounds the roundoff the rescales accumulate to one stage. An exact pass
-takes one ``exp`` over the level-by-column table (:func:`_log1p_sum_exp`),
-clipped from below at ``EXP_FLOOR`` = -700, which keeps numpy's ``exp`` off
-its slow underflow path: the row terms span thousands of log units.
+This is exact, as each row of P0 with its unseen term ``exp(-W_e_i)`` sums
+to one, and costs one matrix-vector product. P0 is kept until the next
+exact pass: an accepted point's P is ``diag(r) P0 diag(v)``, with
+``r_i = exp(W_e_i - W_i)`` (see :class:`_ReducedDual`). Entries of P0 below
+``FLOOR`` = 1e-150 are zero, each at most ``FLOOR e^g`` of its row at mu,
+with g the range of ``mu - mu_e`` over the columns and the unseen column's
+fixed 0. A trial whose g exceeds ``REACH`` = 300 gets an exact pass
+instead, so the anchored W misses at most ``J FLOOR e^300 = J 2e-20`` of a
+row, and every product in ``P0 v`` is a normal number. A stage's end gets
+an exact pass for its bound (:func:`_row_terms`), whose W the next stage's
+value there reads. An exact pass takes one ``exp`` over the level-by-column
+table (:func:`_log1p_sum_exp`), clipped from below at ``EXP_FLOOR`` = -700,
+which keeps numpy's ``exp`` off its slow underflow path: the row terms span
+thousands of log units.
 
 Each stage proposes one primal point, its smoothed primal
 ``X_ij = a_i softmax_j(C_ij - mu_j)`` (with the unseen column's logit 0) made
@@ -167,45 +166,40 @@ def _budget_theta(use_x: np.ndarray, use_y: np.ndarray) -> float:
     return min(max(float(theta.max(initial=0.0)), 0.0), 1.0)
 
 
-def _toward_budget(X: np.ndarray, Y: np.ndarray, spec: AssignmentSpec) -> np.ndarray:
-    """X blended in place toward Y by :func:`_budget_theta`; Y is overwritten.
+def _cheapest(spec: AssignmentSpec) -> tuple[int, np.ndarray]:
+    """The cheapest level (least level sum) and the budget use of every observed column on it."""
+    cheap = int(np.argmin(spec.levels.sum(axis=1)))
+    return cheap, spec.levels[cheap] * float(spec.col_counts.sum())
 
-    Each entry is ``X + theta (Y - X)``, as the blend is written; at theta = 0
-    that is X itself, which is returned untouched.
-    """
-    theta = _budget_theta(spec.budget_use(X), spec.budget_use(Y))
+
+def _toward_budget(X: np.ndarray, spec: AssignmentSpec) -> np.ndarray:
+    """X's observed columns blended in place toward Y, all of them on the
+    :func:`_cheapest` level, by :func:`_budget_theta`; their budget use.
+    Each entry is ``X + theta (Y - X)``, as the blend is written (X is
+    untouched at theta = 0); Y is zero off one row, so it is never built."""
+    seen = X[:, 1:]
+    cheap, use_cheap = _cheapest(spec)
+    use = spec.levels.T @ seen.sum(axis=1)
+    theta = _budget_theta(use, use_cheap)
     if theta > 0.0:
-        Y -= X
-        Y *= theta
-        X += Y
-    return X
-
-
-def _cheapest_placement(spec: AssignmentSpec) -> np.ndarray:
-    """Every observed column on the cheapest level, the unseen column empty."""
-    cheapest = np.zeros(spec.shape)
-    cheapest[np.argmin(spec.levels.sum(axis=1)), 1:] = spec.col_counts
-    return cheapest
+        row = seen[cheap] + theta * (spec.col_counts - seen[cheap])
+        seen += theta * (0.0 - seen)
+        seen[cheap] = row
+        use = spec.levels.T @ seen.sum(axis=1)
+    return use
 
 
 def _feasible(X: np.ndarray, spec: AssignmentSpec) -> np.ndarray | None:
     """X with observed columns rescaled to their counts and blended toward
-    :func:`_cheapest_placement` just onto the budget if they overshoot it, then
-    the unseen column scaled by one factor onto what is left; None if X is
-    still infeasible.
-
-    All in place on X, with the cheapest placement the only other array of
-    its shape: the observed columns are blended with the unseen column set
-    aside, and the second blend, toward that result, moves only the unseen
-    column (the observed ones blend toward themselves).
-    """
+    the cheapest level just onto the budget if they overshoot it
+    (:func:`_toward_budget`), then the unseen column scaled by one factor
+    onto what is left; None if X is still infeasible. All in place on X,
+    with budget uses taken from row sums."""
     X[:, 1:] *= spec.col_counts / X[:, 1:].sum(axis=0)
-    unseen = X[:, 0].copy()
-    X[:, 0] = 0.0
-    use_seen = spec.budget_use(_toward_budget(X, _cheapest_placement(spec), spec))
-    X[:, 0] = unseen
-    theta = _budget_theta(spec.budget_use(X), use_seen)
-    X[:, 0] = unseen + theta * (0.0 - unseen)
+    use_seen = _toward_budget(X, spec)
+    unseen = X[:, 0]
+    theta = _budget_theta(use_seen + spec.levels.T @ unseen, use_seen)
+    unseen += theta * (0.0 - unseen)
     return X if is_feasible(X, spec, tol=1e-9) else None
 
 
@@ -233,12 +227,12 @@ def initial_point(spec: AssignmentSpec) -> np.ndarray:
     """
     if spec.row_counts is not None:
         raise ValueError("initial points are for the budget (fractional) variant")
+    if np.any(_cheapest(spec)[1] > 1 + 1e-12):
+        raise InfeasibleError("observed counts cannot fit the unit budget at any level")
     X = np.zeros(spec.shape)
     X[_nearest_rows(spec), np.arange(1, spec.num_cols)] = spec.col_counts
-    cheapest = _cheapest_placement(spec)
-    if np.any(spec.budget_use(cheapest) > 1 + 1e-12):
-        raise InfeasibleError("observed counts cannot fit the unit budget at any level")
-    return _toward_budget(X, cheapest, spec)
+    _toward_budget(X, spec)
+    return X
 
 
 def _log1p_sum_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,19 +267,21 @@ def _row_terms(spec: AssignmentSpec, mu: np.ndarray) -> np.ndarray:
 
 
 def _repaired_dual_value(
-    spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray
+    spec: AssignmentSpec, mu: np.ndarray, lam: np.ndarray, W: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Rescale lam so the tightest row constraint just holds; the dual value and that lam.
 
     Scaling lam by ``max_i W_i / (lam . level_i)`` keeps every row feasible,
-    so the value is an upper bound for any finite mu and any lam >= 0.
+    so the value is an upper bound for any finite mu and any lam >= 0. ``W``
+    is mu's :func:`_row_terms`, computed here unless the caller has them.
     Raises ``RuntimeError`` rather than return a value that may not be a
     bound: on a mu that is not finite, and when the repaired lam still
     violates a row (as it does for lam = inf).
     """
     if not np.all(np.isfinite(mu)):
         raise RuntimeError("a dual multiplier is not finite")
-    W = _row_terms(spec, mu)
+    if W is None:
+        W = _row_terms(spec, mu)
     scale = float(np.max(W / np.maximum(lam @ spec.levels.T, 1e-300)))
     if not np.isfinite(scale) or np.all(lam == 0):
         lam = np.full(spec.dim, float(np.max(W / spec.levels.min(axis=1).min())))
@@ -386,22 +382,14 @@ def _descend(value, derivatives, x: np.ndarray, max_steps: int,
 
 def _budget_multipliers(W: np.ndarray, levels: np.ndarray, kappa: np.ndarray, share_t: np.ndarray,
                         t: float, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """lam >= 0 minimizing ``sum lam + t sum_i exp(s_i)``, the exponents s, and ``sum_i exp(s_i)``.
+    """lam >= 0 minimizing ``sum lam + t sum_i exp(s_i)`` at two or three
+    budgets, the exponents s, and ``sum_i exp(s_i)``.
 
-    ``s_i = (W_i - lam . level_i) / (kappa_i t)``. One budget has the closed
-    form ``lam = t logsumexp(W / (level t))``, where ``s`` is ``W / (level t)``
-    minus that logsumexp, so ``sum_i exp(s_i)`` is one and needs no second
-    ``exp``; every value call at one budget takes it. Several take damped
-    Newton steps from ``lam`` rescaled so that the largest s_i is zero, once
-    per start of a joint stage (see the module); ``share_t = (levels /
-    kappa).T`` is made C-contiguous once, as a transposed view made the
-    Hessian product 2.5 times slower at d = 3.
+    ``s_i = (W_i - lam . level_i) / (kappa_i t)``. Damped Newton steps from
+    lam rescaled so that the largest s_i is zero, once per start of a joint
+    stage (see the module); ``share_t = (levels / kappa).T`` is C-contiguous,
+    as a transposed view made the Hessian product 2.5 times slower at d = 3.
     """
-    if levels.shape[1] == 1:
-        x = W / (levels[:, 0] * t)
-        lse = logsumexp(x)
-        return np.array([t * lse]), x - lse, 1.0
-
     def value(lam):
         s = (W - levels @ lam) / (kappa * t)
         e = clipped_exp(s)
@@ -420,21 +408,26 @@ class _ReducedDual:
     """F_t over the observed columns, split value first: in mu with lam
     eliminated at one budget, in ``x = (mu, lam)`` at two or three.
 
-    :meth:`value` gives a trial's ``F_t`` with its row terms ``W``, budget
-    multipliers ``lam`` and exponents ``s``; an exact pass also keeps the
-    shifted exponentials ``E`` of ``Z = C - mu`` and their row sums
-    ``terms`` (:func:`_log1p_sum_exp`), otherwise W is read off the anchor
-    (see the module). :meth:`derivatives` turns an accepted point's state
-    into the gradient and Hessian, with ``P = exp(Z - W)``,
-    ``a = exp(s) / kappa``, ``q = a / (kappa t)``, ``L`` the levels,
-    ``K = P^T diag(q) L``, ``M = L^T diag(q) L`` and
-    ``H = diag(P^T a) + P^T diag(q - a) P``: at one budget the reduced
-    gradient ``c - P^T a`` and the Schur complement ``H - K K^T / M``, at
-    two or three the joint gradient ``(c - P^T a, 1 - L^T a)`` and Hessian
-    ``[[H, K], [K^T, M]]``.
+    :meth:`value` gives a trial's ``F_t`` and state, its row terms ``W``
+    from an exact pass over ``Z = C - mu`` or off the anchor (see the
+    module). :meth:`derivatives` turns an accepted point's state into the
+    gradient and Hessian, with ``P = exp(Z - W)``, ``a = exp(s) / kappa``,
+    ``q = a / (kappa t)``, ``L`` the levels, ``K = P^T diag(q) L``,
+    ``M = L^T diag(q) L`` and ``H = diag(P^T a) + P^T diag(q - a) P``: at
+    one budget the reduced gradient ``c - P^T a`` and the Schur complement
+    ``H - K K^T / M``, at two or three the joint gradient
+    ``(c - P^T a, 1 - L^T a)`` and Hessian ``[[H, K], [K^T, M]]``.
 
-    The derivatives drop rows with ``a_i <= FLOOR`` and zero the entries of
-    ``P`` below it. A dropped term is FLOOR times at most
+    P is never formed (see the module): r goes into the R-length row
+    weights, ``P^T a = v (P0^T (r a))``, K likewise, and the Gram's weights
+    ``(q - a) r^2``, and v into its J-length result, times ``v v^T``. With mu
+    within ``REACH`` of mu_e, r, v and ``r_i P0_ij = P_ij / v_j`` are at most
+    e^300, and the Gram's entries at most ``e^600 sum_i |q_i - a_i|``, a sum
+    below ``1.2e13 n^3`` where ``L^T a <= 1`` (always at one budget; kappa
+    and t as below): finite up to n = 1e9.
+
+    The derivatives drop rows with ``a_i <= FLOOR`` and an exact pass zeroes
+    the entries of P0 below it. A dropped term is FLOOR times at most
     ``max(1, a_i / (kappa_i t))``, below 2e12 n^2 (a row holds at most n'
     elements, the smallest level is about 1 / (2 n^2), t is at least
     1e-12 n'): up to n = 1e9, over 100 orders of magnitude under the
@@ -443,30 +436,26 @@ class _ReducedDual:
     1e-308) and ``exp(Z - W)`` down to e^-21444 made its matrix product ten
     times slower. Every exponential here is :func:`clipped_exp`; an entry of
     P or a row's ``a_i`` that the clip touches (at most ``e^-700 / kappa_i``)
-    is below FLOOR and dropped, as it would be unclipped. The Hessian and
-    the anchored W only steer the steps; the certificate reads the exact
-    :func:`_row_terms`.
+    is below FLOOR and dropped, as it would be unclipped.
 
     Level-by-column arrays: ``C`` is a view of the spec's table, and the dual
-    holds two more, ``scratch`` and the anchor's row-major ``P`` (the BLAS
+    holds two more, ``scratch`` and the anchor's row-major ``P0`` (the BLAS
     products give other bits on a column-major one). An exact pass turns
     ``C - mu`` into ``E`` in ``scratch``, so its state is good until the next
-    value call; an anchored state is good until :meth:`derivatives` moves the
-    anchor. That is all :func:`_descend` asks. :meth:`derivatives` writes
-    ``E / terms`` into the anchor's P, or rescales it in place, and builds
-    the Hessian's weighted rows in ``scratch``. Between descents,
-    :func:`solve` builds its candidate there and drops the anchor.
+    value call; an anchored state until the next exact pass is accepted.
+    That is all :func:`_descend` asks. :meth:`derivatives` writes
+    ``E / terms`` into P0 and builds the Hessian's weighted rows in
+    ``scratch``, where :func:`solve` builds its candidate between descents.
     """
 
     FLOOR = 1e-150
-    REACH = 300.0  # log units a trial may range from the anchors before an exact pass
+    REACH = 300.0  # log units a trial may range from the anchor before an exact pass
 
     def __init__(self, spec: AssignmentSpec, t: float):
         self.c = spec.col_counts.astype(float)
-        # Column-major: value calls reduce C - mu along rows, which numpy then does
-        # a whole column at a time. A row-major C made Zipf n = 1000 to 10 000
-        # solves 11-25% slower and moved their results in the last bits. The
-        # spec's table is column-major too, so this is a view of it, not a copy.
+        # Column-major, as is the spec's table, so this is a view of it: value calls reduce
+        # C - mu along rows, a whole column at a time. A row-major C made Zipf n = 1000 to
+        # 10 000 solves 11-25% slower and moved their results in the last bits.
         self.C = np.asfortranarray(spec.lin_coeff[:, 1:])
         self.levels = spec.levels
         self.kappa = self.levels.max(axis=1)
@@ -475,19 +464,18 @@ class _ReducedDual:
         # C - mu, column-major, in the first R (J - 1) entries of a row-major
         # (R, J) array, the shape of solve's candidates (see the class).
         self.scratch = np.empty(spec.shape)
-        self.anchor = None  # (P, mu, W, low, high) of the last accepted point
+        self.anchor = None  # (P0, mu_e, W_e, exp(-W_e)) of the last exact pass
+        self.exact = None  # (mu, W) of an exact pass outside the dual, for the next value call
 
     def anchored_row_terms(self, mu: np.ndarray) -> np.ndarray:
-        """``W(mu)`` from the anchor: ``W0 + log(e^-W0 + P0 exp(mu0 - mu))``."""
-        P, mu0, W0, _, _ = self.anchor
-        return W0 + np.log(clipped_exp(-W0) + P @ np.exp(mu0 - mu))
+        """``W(mu)`` from the anchor: ``W_e + log(e^-W_e + P0 exp(mu_e - mu))``."""
+        P0, mu_e, W_e, exp_w = self.anchor
+        return W_e + np.log(exp_w + P0 @ np.exp(mu_e - mu))
 
     def _reach(self, mu: np.ndarray) -> float:
-        """The largest range of ``mu - mu_k`` (with the unseen column's 0)
-        over the anchors ``mu_k`` since the last exact pass, bounded through
-        their box ``[low, high]``."""
-        low, high = self.anchor[3:]
-        return max(float((mu - low).max()), 0.0) - min(float((mu - high).min()), 0.0)
+        """The range of ``mu - mu_e`` over the columns and the unseen column's 0."""
+        d = mu - self.anchor[1]
+        return max(float(d.max()), 0.0) - min(float(d.min()), 0.0)
 
     def value(self, x: np.ndarray, settle: bool = False):
         """``F_t(x)`` and the state ``(W, E, terms, lam, s)`` it computed.
@@ -496,15 +484,23 @@ class _ReducedDual:
         ``(mu, lam)`` at two or three. With ``settle``, lam is first moved
         onto its minimiser at x's mu by :func:`_budget_multipliers`, warm
         started from x's lam, and the state's lam is that minimiser. ``E``
-        and ``terms`` are None when W was read off the anchor.
+        and ``terms`` are None when W was read off the anchor, or off
+        :attr:`exact`, which only the next value call reads.
         """
         mu, lam = x[: self.c.size], x[self.c.size:]
-        if self.anchor is None or self._reach(mu) > self.REACH:
+        exact, self.exact = self.exact, None
+        if exact is not None and np.array_equal(mu, exact[0]):
+            W, E, terms = exact[1], None, None
+        elif self.anchor is None or self._reach(mu) > self.REACH:
             Z = self.scratch.reshape(-1)[: self.C.size].reshape(self.C.shape[::-1]).T
             W, E, terms = _log1p_sum_exp(np.subtract(self.C, mu, out=Z))
         else:
             W, E, terms = self.anchored_row_terms(mu), None, None
-        if settle or self.levels.shape[1] == 1:
+        if self.levels.shape[1] == 1:  # lam = t logsumexp(W / (level t)), so sum_i exp(s_i) = 1
+            y = W / (self.levels[:, 0] * self.t)
+            top = logsumexp(y)
+            lam, s, penalty = np.array([self.t * top]), y - top, 1.0
+        elif settle:
             lam, s, penalty = _budget_multipliers(W, self.levels, self.kappa, self.share_t,
                                                   self.t, lam)
         else:
@@ -521,38 +517,36 @@ class _ReducedDual:
 
     def derivatives(self, x: np.ndarray, state):
         """Gradient and Hessian at ``x`` from its value state, and the state
-        ``(lam, a, W, rows, P)`` of the smoothed primal ``X = a_i P_ij`` (zero
-        off ``rows``). ``x`` becomes the anchor, and its P is the anchor's,
-        rescaled in place (see the class)."""
+        ``(lam, a, W, rows, (P0, r, v))`` of the smoothed primal
+        ``X = a_i P_ij`` (zero off ``rows``), with ``P = diag(r) P0 diag(v)``.
+        An exact pass at ``x`` becomes the anchor (see the class)."""
         W, E, terms, lam, s = state
         mu = x[: self.c.size]
-        if E is None:
-            P, mu0, W0, low, high = self.anchor
-            P *= np.exp(mu0 - mu)
-            P *= np.exp(W0 - W)[:, None]
-            low, high = np.minimum(low, mu), np.maximum(high, mu)
-        else:  # row-major, as the BLAS products below give other bits on a column-major P
-            P = np.divide(E, terms[:, None], out=None if self.anchor is None else self.anchor[0],
-                          order="C")
-            low = high = mu
-        np.multiply(P, P >= self.FLOOR, out=P)  # zero below FLOOR; a masked store was 6x slower
-        self.anchor = (P, mu, W, low, high)
+        if E is not None:  # an exact pass: its row-major P0 is the anchor's (see the class)
+            P0 = np.divide(E, terms[:, None], out=None if self.anchor is None else self.anchor[0],
+                           order="C")
+            np.multiply(P0, P0 >= self.FLOOR, out=P0)  # the floor; a masked store was 6x slower
+            self.anchor = (P0, mu, W, clipped_exp(-W))
+        P0, mu_e, W_e, _ = self.anchor
+        r, v = np.exp(W_e - W), np.exp(mu_e - mu)  # both one at the anchor itself
         a = clipped_exp(s) / self.kappa
         rows = a > self.FLOOR
         used = np.where(rows, a, 0.0)
         q = used / (self.kappa * self.t)
         L = self.levels
         qL = q[:, None] * L
-        mass, K = used @ P, (qL.T @ P).T
-        H = self._gram(P, np.flatnonzero(rows), q - used)
+        mass, K = v * ((used * r) @ P0), ((r[:, None] * qL).T @ P0).T * v[:, None]
+        H = self._gram(P0, np.flatnonzero(rows), (q - used) * r * r)
+        H *= np.outer(v, v)
         H.flat[:: mass.size + 1] += mass  # the diagonal
+        derived = (lam, a, W, rows, (P0, r, v))
         if L.shape[1] == 1:  # lam eliminated: the Schur complement of M = L^T diag(q) L
             M = float(qL[:, 0] @ L[:, 0])
             if M > 0:
                 H -= np.outer(K[:, 0] / M, K[:, 0])
-            return self.c - mass, H, (lam, a, W, rows, P)
+            return self.c - mass, H, derived
         grad = np.concatenate([self.c - mass, 1.0 - L.T @ used])
-        return grad, np.block([[H, K], [K.T, qL.T @ L]]), (lam, a, W, rows, P)
+        return grad, np.block([[H, K], [K.T, qL.T @ L]]), derived
 
     def _gram(self, P: np.ndarray, kept: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``P^T diag(w) P`` for a ``w`` that is zero off the row indices
@@ -571,14 +565,16 @@ class _ReducedDual:
         """The step along the central path from ``t`` to ``t / 10``, to first
         order, from an accepted point's lam, :meth:`derivatives` state and
         Hessian (see the module). None if the Hessian is singular."""
+        P0, r, v = P
         x = W / (self.kappa * self.t)
         if lam.size == 1:  # lam eliminated: 0.9 H^-1 P^T (a (x - xbar))
             x -= (self.kappa * a) @ x  # the weights kappa_i a_i are softmax(x): they sum to one
-            b = P.T @ np.where(rows, a * x, 0.0)
-        else:  # x becomes s; a lam at its zero bound is held there
+        else:  # x becomes s
             x -= (self.levels @ lam) / (self.kappa * self.t)
+        b = v * (P0.T @ np.where(rows, a * x * r, 0.0))
+        if lam.size > 1:  # a lam at its zero bound is held there
             free = np.r_[np.ones(self.c.size, dtype=bool), lam > 0]
-            b = np.r_[P.T @ np.where(rows, a * x, 0.0), self.levels.T @ (a * x)] * free
+            b = np.r_[b, self.levels.T @ (a * x)] * free
             H = np.where(np.outer(free, free) | np.eye(free.size, dtype=bool), H, 0.0)
         scale = float(np.abs(np.diag(H)).max(initial=0.0)) + 1e-300
         try:
@@ -604,7 +600,7 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
 
     Level-by-column arrays: the spec's table (``_ReducedDual.C`` is a view of
     it), the best point so far and the dual's scratch array exist
-    throughout, and the anchor's ``P`` while a stage descends. The stage's
+    throughout, and the anchor's ``P0`` while a stage descends. The stage's
     candidate is built in the scratch array, with the anchor dropped, and
     scoring it adds one more array. A spec whose columns are all observed, as
     the pipeline's are, is solved as given and its best point returned as
@@ -641,7 +637,7 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
             here, evaluated = dual.settle(x) if spec.dim > 1 else (x, None)
             start = here
             if ahead is not None:  # the predicted start, if F_t is lower there (see the module)
-                # First: the scratch array keeps only the last value state.
+                # First: only the next value call reads the certificate's W at x.
                 at_here = dual.value(here)[0] if evaluated is None else evaluated[0]
                 ahead, trial = dual.settle(ahead) if spec.dim > 1 else (ahead, dual.value(ahead))
                 start, evaluated = (ahead, trial) if trial[0] < at_here else (here, None)
@@ -656,10 +652,13 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
             steps += taken
             X = dual.scratch  # C - mu is not read again: the candidate is built there
             X[:, 0] = a * np.exp(-W)
-            np.multiply(P, np.where(rows, a, 0.0)[:, None], out=X[:, 1:])
-            del P  # one level-by-column array fewer while the candidate is scored,
-            dual.anchor = None  # and the next stage starts with an exact pass
-            bound = min(bound, _repaired_dual_value(spec, mu, lam_t)[0])
+            P0, r, v = P
+            np.multiply(P0, (np.where(rows, a, 0.0) * r)[:, None], out=X[:, 1:])
+            X[:, 1:] *= v
+            del P, P0  # one level-by-column array fewer while the candidate is scored
+            dual.anchor = None
+            W = _row_terms(spec, mu)
+            bound = min(bound, _repaired_dual_value(spec, mu, lam_t, W)[0])
             X = _feasible(X, spec)
             value = -np.inf if X is None else log_weight_relaxed(X, spec)
             if value > best_value:  # the old best becomes the scratch array
@@ -667,6 +666,7 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
             if bound - best_value <= config.delta or steps >= config.max_iters:
                 break
             dual.t *= 0.1
+            dual.exact = None if ahead is None else (mu, W)  # for F_t at x (see the module)
     gap = max(bound - best_value, 0.0)
     if spec is not full:
         X = np.zeros(full.shape)

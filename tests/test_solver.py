@@ -399,6 +399,36 @@ def test_derivatives_match_value_differences_and_dense_formula(monkeypatch, sequ
             assert np.abs(fd_grad - grad).max() <= 1e-8 * scale
             fd_H = central_difference(lambda y: dual.derivatives(y, dual.value(y)[1])[0], x, h)
             assert np.abs(fd_H - H).max() <= 1e-8 * np.abs(H).max()
+            # Points whose W is read off the anchor, the exact pass at the
+            # stage's start: one accepted step from it, and mu 250 units
+            # above and below its mu (lam then put on its minimiser at
+            # d = 2). Their P is diag(r) P0 diag(v), never formed:
+            # r = exp(W_e - W) and v = exp(mu_e - mu) are at most e^REACH,
+            # so the Gram's weights (q - a) r^2 and its factor v v^T are at
+            # most e^600 times their unscaled size. Here r reaches e^59 to
+            # e^81 and v v^T e^500, with no overflow or invalid value
+            # raised, and the derivatives match the dense formula as at x.
+            dual = _ReducedDual(spec, record["t"])
+            lower = None if spec.dim == 1 else np.r_[np.full(dual.c.size, -np.inf), 0.0, 0.0]
+            start, evaluated = (record["start"], None) if spec.dim == 1 else dual.settle(record["start"])
+            stepped, _, steps, _, _ = solver_module._descend(
+                dual.value, dual.derivatives, start, 1, lower=lower, evaluated=evaluated)
+            assert steps == 1
+            mu_e, lam = dual.anchor[1], stepped[dual.c.size:]
+            for y in (stepped, np.r_[mu_e + 250.0, lam], np.r_[mu_e - 250.0, lam]):
+                y, (_, state) = (y, dual.value(y)) if spec.dim == 1 else dual.settle(y)
+                with np.errstate(over="raise", invalid="raise"):
+                    grad, H, _ = dual.derivatives(y, state)
+                assert state[1] is None  # W read off the anchor
+                ref_grad, ref_H, P, a = dense_derivatives(dual, y, state)
+                # At one budget H is the Schur complement H - K K^T / M, whose
+                # terms reach 4e7 times H at mu_e - 250: its roundoff is
+                # relative to them.
+                q = a / (dual.kappa * dual.t)
+                K, M = (P.T * q) @ dual.levels, (dual.levels.T * q) @ dual.levels
+                size = np.abs(ref_H).max() + (np.abs(K @ K.T / M).max() if spec.dim == 1 else 0.0)
+                assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+                assert np.abs(H - ref_H).max() <= 1e-12 * size
 
 
 def test_joint_descent_solves_lam_only_at_stage_starts(monkeypatch):
@@ -540,11 +570,12 @@ def test_tangent_holds_a_lam_at_its_zero_bound():
     mu = np.zeros(spec.num_cols - 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, evaluated = dual.settle(np.r_[mu, spec.disc_lengths])
-        _, (lam, a, W, rows, P), _, _, H = solver_module._descend(
+        _, (lam, a, W, rows, (P0, r, v)), _, _, H = solver_module._descend(
             dual.value, dual.derivatives, x, 500, lower=np.r_[mu - np.inf, 0, 0], rtol=1e-20,
             evaluated=evaluated)
         lam = np.r_[lam[0], 0.0]
-        step = dual.tangent(lam, a, W, rows, P, H)
+        step = dual.tangent(lam, a, W, rows, (P0, r, v), H)
+    P = r[:, None] * P0 * v
     s = (W - spec.levels @ lam) / (dual.kappa * dual.t)
     b = 0.9 * np.r_[P.T @ (a * s)[rows], spec.levels[:, 0] @ (a * s)]
     assert step[-1] == 0.0
@@ -605,8 +636,8 @@ def test_value_and_row_terms_never_underflow(monkeypatch):
     # results that underflow. Every value call of the solve, each stage's end
     # point included, and every repaired row term run with underflow raised;
     # before the exponents were clipped, every one of its value calls raised.
-    # Most value calls read W off the anchor, whose product P0 exp(mu0 - mu)
-    # stays normal while mu is within REACH of the anchors.
+    # Most value calls read W off the anchor, whose product P0 exp(mu_e - mu)
+    # stays normal while mu is within REACH of the anchor's mu_e.
     p = 1.0 / np.arange(1, 1501)
     sample = np.random.default_rng(0).choice(1500, size=3000, p=p / p.sum())
     spec = default_grid_spec([[str(x) for x in sample]])
@@ -693,11 +724,13 @@ def test_certificate_reads_no_anchored_row_term(monkeypatch):
 
 
 def test_value_calls_read_the_anchor(monkeypatch):
-    # The Zipf n = 10 000 draw. A value call reads W off the last accepted
-    # point's P with one matrix-vector product; only the stage starts and
-    # the repaired bounds take the exp over the level-by-column table. That
-    # solve makes 17 such passes; with every value call exact it made 82
-    # (76 value calls and 6 repaired bounds).
+    # The Zipf n = 10 000 draw. A value call reads W off the last exact
+    # pass's P with one matrix-vector product. Only the repaired bounds, the
+    # first start and each later stage's predicted start take the exp over
+    # the level-by-column table: the value at the last stage's end point
+    # reads the bound's W. That solve makes 12 such passes (17 while each
+    # stage start made its own pass at that point); with every value call
+    # exact it made 82 (76 value calls and 6 repaired bounds).
     passes, log1p_sum_exp = [], solver_module._log1p_sum_exp
 
     def counted(Z):
@@ -706,5 +739,5 @@ def test_value_calls_read_the_anchor(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_log1p_sum_exp", counted)
     assert solve(default_grid_spec(zipf_sequences(1, 10_000))).certified
-    assert len(passes) <= 19
+    assert len(passes) <= 13
 
