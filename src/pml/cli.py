@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 usage or parse error, 2 solver result not certified
 (the result is still emitted), 3 oracle size guard exceeded.
 
 Each command imports the layers it runs, so a call pays only for those: only
-the two estimate commands import ``pipeline``, and only ``exact`` and
-``bruteforce`` import the oracles. Layers are called through their modules'
-attributes, so a patch on a module reaches the commands.
+``estimate`` imports ``pipeline``, and only ``exact`` and ``bruteforce`` import
+the oracles. Layers are called through their modules' attributes, so a patch
+on a module reaches the commands.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -23,7 +24,7 @@ from .grids import GridSizeError
 from .multi import DProfile, d_profile_of
 from .profiles import Profile, profile_of_sequence
 
-# Usage and parse errors exit 1 via ClickException.
+# Usage and parse errors exit 1 via ClickException (click's own via _Group).
 EXIT_NOT_CERTIFIED = 2
 EXIT_SIZE_GUARD = 3
 
@@ -122,10 +123,15 @@ def _parse_properties(props: tuple[str, ...]) -> list[tuple[str, int | None]]:
     return parsed
 
 
-def _read_profile(path: str, cls):
-    """Profile or DProfile from a JSON file; malformed data exits 1."""
+def _read_profile(path: str, joint: bool = False):
+    """The Profile in a JSON file, or with ``joint`` a DProfile (read as one if
+    the file has a ``d`` or ``entries`` key); malformed data exits 1."""
+    data = _load_json(path)
     try:
-        return cls.from_dict(_load_json(path))
+        if joint and isinstance(data, dict) and ("d" in data or "entries" in data):
+            return DProfile.from_dict(data)
+        profile = Profile.from_dict(data)
+        return DProfile.from_profile(profile) if joint else profile
     except ValueError as exc:
         raise click.ClickException(f"{path}: {exc}") from None
 
@@ -149,7 +155,29 @@ def _estimate_properties(dist, props) -> dict:
     return out
 
 
-@click.group()
+@contextmanager
+def _usage_error_exits_1():
+    try:
+        yield
+    except click.UsageError as err:
+        err.exit_code = 1
+        raise
+
+
+class _Group(click.Group):
+    """Click's usage errors keep their message but exit 1, like every other
+    refusal, so that exit 2 means only an uncertified result."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_error_exits_1():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_error_exits_1():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Approximate profile-maximum-likelihood distributions and property estimates."""
 
@@ -170,14 +198,30 @@ def cmd_profile(samples, output):
     _emit(data, output, "json")
 
 
-def _estimate_and_emit(run, inputs, options: dict, props, output, fmt) -> None:
-    """Run a pipeline entry point on each input and emit the results, one
-    object for one input; exit 2 unless every result is certified. A grid too
-    large to build exits 1."""
+@main.command("estimate")
+@click.argument("profiles", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--eps1", type=float, default=None, callback=_validate_eps,
+              help="Probability-grid coarseness in (0, 1], per coordinate; default n_k^(-1/(2d+1)).")
+@click.option("--eps2", type=float, default=None, callback=_validate_eps,
+              help="Frequency-grid coarseness in (0, 1], per coordinate; default n_k^(-1/(2d+1)).")
+@click.option("--delta", type=float, default=None, callback=_validate_delta,
+              help="Solver target gap (log units), positive and finite.")
+@click.option("--property", "properties", multiple=True,
+              help="entropy | support | coverage:m | uniformity:k | kl (repeatable); "
+                   "support takes any d, kl needs d = 2 and the others d = 1.")
+@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@click.option("--format", "fmt", type=click.Choice(["json", "plain"]), default="json")
+def cmd_estimate(profiles, eps1, eps2, delta, properties, output, fmt):
+    """Approximate PML for profile or joint-profile JSON files: one object, or a list for several."""
+    props = _parse_properties(properties)
+    parsed = [_read_profile(path, joint=True) for path in profiles]
+    from . import pipeline
+
     results = []
-    for data in inputs:
+    for dp in parsed:
+        eps = [None if e is None else (e,) * dp.d for e in (eps1, eps2)]
         try:
-            dist, diag = run(data, **options)
+            dist, diag = pipeline.approximate_pml_d(dp, *eps, delta)
         except GridSizeError as err:
             raise click.ClickException(str(err)) from None
         result = dist.to_dict()
@@ -190,52 +234,6 @@ def _estimate_and_emit(run, inputs, options: dict, props, output, fmt) -> None:
         sys.exit(EXIT_NOT_CERTIFIED)
 
 
-@main.command("estimate")
-@click.argument("profiles", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--eps1", type=float, default=None, callback=_validate_eps,
-              help="Probability-grid coarseness in (0, 1]; default n^(-1/3).")
-@click.option("--eps2", type=float, default=None, callback=_validate_eps,
-              help="Frequency-grid coarseness in (0, 1]; default n^(-1/3).")
-@click.option("--delta", type=float, default=None, callback=_validate_delta,
-              help="Solver target gap (log units), positive and finite.")
-@click.option("--property", "properties", multiple=True,
-              help="entropy | support | coverage:m | uniformity:k (repeatable).")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "plain"]), default="json")
-def cmd_estimate(profiles, eps1, eps2, delta, properties, output, fmt):
-    """Approximate PML for one or more profile JSON files."""
-    props = _parse_properties(properties)
-    parsed = [_read_profile(path, Profile) for path in profiles]
-    options = {"eps1": eps1, "eps2": eps2, "delta": delta}
-    from . import pipeline
-
-    _estimate_and_emit(pipeline.approximate_pml, parsed, options, props, output, fmt)
-
-
-@main.command("estimate-d")
-@click.argument("dprofile", type=click.Path(exists=True, dir_okay=False))
-@click.option("--d", "dim", type=int, default=None, help="Expected dimension (checked).")
-@click.option("--eps1", type=float, default=None, callback=_validate_eps)
-@click.option("--eps2", type=float, default=None, callback=_validate_eps)
-@click.option("--delta", type=float, default=None, callback=_validate_delta)
-@click.option("--property", "properties", multiple=True,
-              help="support | kl (repeatable); kl needs d = 2, and a d = 1 profile "
-                   "takes the properties of estimate.")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "plain"]), default="json")
-def cmd_estimate_d(dprofile, dim, eps1, eps2, delta, properties, output, fmt):
-    """Approximate PML for a joint profile over several sequences."""
-    props = _parse_properties(properties)
-    dp = _read_profile(dprofile, DProfile)
-    if dim is not None and dim != dp.d:
-        raise click.ClickException(f"profile has dimension {dp.d}, not {dim}")
-    options = {"eps1": None if eps1 is None else (eps1,) * dp.d,
-               "eps2": None if eps2 is None else (eps2,) * dp.d, "delta": delta}
-    from . import pipeline
-
-    _estimate_and_emit(pipeline.approximate_pml_d, [dp], options, props, output, fmt)
-
-
 @main.command("exact")
 @click.argument("profile_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("dist_path", type=click.Path(exists=True, dir_okay=False))
@@ -244,7 +242,7 @@ def cmd_exact(profile_path, dist_path):
     from . import exact
     from .assignment import EnumerationCapError
 
-    profile = _read_profile(profile_path, Profile)
+    profile = _read_profile(profile_path)
     data = _load_json(dist_path)
     if not isinstance(data, dict) or "probs" not in data:
         raise click.ClickException(f"{dist_path}: expected a 'probs' array")
@@ -267,7 +265,7 @@ def cmd_bruteforce(profile_path, support_cap, resolution):
     """Grid-search PML over tiny supports; prints the best grid distribution."""
     from . import exact
 
-    profile = _read_profile(profile_path, Profile)
+    profile = _read_profile(profile_path)
     try:
         if support_cap is None:
             config = exact.GridSearchConfig.default_for(profile, resolution)

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -186,20 +187,19 @@ def test_bruteforce_command(tmp_path, runner):
 
 
 def test_estimate_d_command(tmp_path, runner):
+    # estimate reads the joint profile that profile writes for two files.
     s1 = write(tmp_path, "s1.txt", "a\na\n")
     s2 = write(tmp_path, "s2.txt", "a\na\n")
     joint = runner.invoke(main, ["profile", s1, s2]).output
     dp_path = write(tmp_path, "dp.json", joint)
     result = runner.invoke(
         main,
-        ["estimate-d", dp_path, "--eps1", "1.0", "--eps2", "1.0", "--property", "kl"],
+        ["estimate", dp_path, "--eps1", "1.0", "--eps2", "1.0", "--property", "kl"],
     )
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert "kl" in data["estimates"]
     assert len(data["mass"]) == 2
-    mismatched = runner.invoke(main, ["estimate-d", dp_path, "--d", "3"])
-    assert mismatched.exit_code == 1
 
 
 def test_estimate_multiple_profiles(tmp_path, runner):
@@ -213,6 +213,49 @@ def test_estimate_multiple_profiles(tmp_path, runner):
     assert isinstance(data, list) and len(data) == 2
 
 
+def test_one_estimate_call_takes_profiles_and_joint_profiles(tmp_path, runner):
+    profile = write(tmp_path, "a.json", '{"pairs": [[2, 2], [1, 1]]}')
+    joint = write(tmp_path, "joint.json", '{"d": 2, "entries": [[[1, 0], 2], [[0, 1], 2], [[1, 1], 1]]}')
+    props = ["--property", "support"]
+    result = runner.invoke(main, ["estimate", profile, joint, *props])
+    assert result.exit_code == 0, result.output
+    alone = [json.loads(runner.invoke(main, ["estimate", path, *props]).stdout)
+             for path in (profile, joint)]
+    assert json.loads(result.stdout) == alone
+    assert [item["diagnostics"]["d"] for item in alone] == [1, 2]
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "{path}", "--bogus"],
+    ["estimate"],
+    ["estimate", "{path}", "--eps1", "abc"],
+    ["estimate", "{path}", "--format", "xml"],
+    ["estimate", "{path}.missing"],
+    ["nosuch"],
+])
+def test_usage_errors_exit_1(tmp_path, runner, args):
+    # Exit 2 is kept for an uncertified result; click's usage errors default to it.
+    path = write(tmp_path, "p.json", '{"pairs": [[2, 2], [1, 1]]}')
+    args = [a.replace("{path}", path) for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stderr.strip().splitlines()[-1].startswith("Error: ")
+    with pytest.raises(click.UsageError) as raised:
+        main.main(args, standalone_mode=False)
+    assert raised.value.exit_code == 1
+
+
+def test_an_uncertified_estimate_exits_2_and_still_emits(tmp_path, runner):
+    # No solve reaches a gap of 1e-300; this one stops after 54 Newton steps
+    # at a gap of 4.45e-11.
+    path = write(tmp_path, "p.json", '{"pairs": [[2, 2], [1, 1]]}')
+    result = runner.invoke(main, ["estimate", path, "--delta", "1e-300"])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stdout)["certified"] is False
+
+
 @pytest.mark.parametrize(
     "command, text, args, code",
     [
@@ -220,12 +263,12 @@ def test_estimate_multiple_profiles(tmp_path, runner):
         ("estimate", '{"pairs": [[1, 0]]}', [], 1),
         ("estimate", '{"pairs": [[2, -1]]}', [], 1),
         ("estimate", '{"pairs": [[1, 5]]}', ["--property", "uniformity:3"], 1),
-        ("estimate-d", '{"d": 2, "entries": [[[1, 0], 0]]}', [], 1),
-        ("estimate-d", '{"d": 2, "entries": [[[0, 0], 1]]}', [], 1),
+        ("estimate", '{"d": 2, "entries": [[[1, 0], 0]]}', [], 1),
+        ("estimate", '{"d": 2, "entries": [[[0, 0], 1]]}', [], 1),
         # n = 100000 puts grid levels near 5e-11; the solve must still certify.
         ("estimate", '{"pairs": [[1, 100000]]}', [], 0),
-        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1]]}', ["--delta", "0"], 1),
-        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1]]}', ["--delta", "-1"], 1),
+        ("estimate", '{"d": 2, "entries": [[[1, 1], 1]]}', ["--delta", "0"], 1),
+        ("estimate", '{"d": 2, "entries": [[[1, 1], 1]]}', ["--delta", "-1"], 1),
         ("estimate", '{"pairs": [[1, 2]]}', ["--delta", "nan"], 1),
         ("estimate", '{"pairs": [[1, 2]]}', ["--delta", "inf"], 1),
         # exact reads the profile and the distribution from the same file.
@@ -239,9 +282,9 @@ def test_estimate_multiple_profiles(tmp_path, runner):
         ("estimate", '{"pairs": [[2, "x"]]}', [], 1),
         ("estimate", '{"pairs": [[true, 2]]}', [], 1),
         ("estimate", '{"pairs": [[2, false]]}', [], 1),
-        ("estimate-d", '{"d": 2, "entries": [[[1.5, 1], 1]]}', [], 1),
-        ("estimate-d", '{"d": 2, "entries": [[[1, 1], true]]}', [], 1),
-        ("estimate-d", '{"d": 2, "entries": [[[1], 1]]}', [], 1),
+        ("estimate", '{"d": 2, "entries": [[[1.5, 1], 1]]}', [], 1),
+        ("estimate", '{"d": 2, "entries": [[[1, 1], true]]}', [], 1),
+        ("estimate", '{"d": 2, "entries": [[[1], 1]]}', [], 1),
         # Non-finite entries and a total above one are not a pseudo-distribution.
         ("exact", '{"pairs": [[1, 2]], "probs": [NaN, 0.5, 0.5]}', ["{path}"], 1),
         ("exact", '{"pairs": [[1, 2]], "probs": [Infinity, 0.5]}', ["{path}"], 1),
@@ -249,24 +292,31 @@ def test_estimate_multiple_profiles(tmp_path, runner):
         ("exact", '{"pairs": [[1, 2]], "probs": [0.5, 0.7]}', ["{path}"], 1),
         ("bruteforce", '{"pairs": [[1, 2]]}', ["--support-cap", "0"], 1),
         # A joint estimate takes support and kl.
-        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1]]}',
+        ("estimate", '{"d": 2, "entries": [[[1, 1], 1]]}',
          ["--property", "support", "--property", "kl"], 0),
-        ("estimate-d", '{"d": 2, "entries": [[[1, 0], 2], [[0, 1], 2], [[1, 1], 1]]}',
+        ("estimate", '{"d": 2, "entries": [[[1, 0], 2], [[0, 1], 2], [[1, 1], 1]]}',
          ["--property", "support", "--property", "kl"], 0),
         # A huge d is refused before anything d long is built.
-        ("estimate-d", '{"d": 1000000000000, "entries": []}', [], 1),
+        ("estimate", '{"d": 1000000000000, "entries": []}', [], 1),
         # A coordinate with no sample, and tuples of two lengths.
-        ("estimate-d", '{"d": 2, "entries": [[[1, 0], 2]]}', [], 1),
-        ("estimate-d", '{"d": 3, "entries": [[[0, 0, 1], 1]]}', [], 1),
-        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1], [[1], 1]]}', [], 1),
+        ("estimate", '{"d": 2, "entries": [[[1, 0], 2]]}', [], 1),
+        ("estimate", '{"d": 3, "entries": [[[0, 0, 1], 1]]}', [], 1),
+        ("estimate", '{"d": 2, "entries": [[[1, 1], 1], [[1], 1]]}', [], 1),
         # A count of 1e300 makes n too large for a float; the grid is refused first.
         ("estimate", '{"pairs": [[1, 1e300]]}', [], 1),
-        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1e300]]}', [], 1),
+        ("estimate", '{"d": 2, "entries": [[[1, 1], 1e300]]}', [], 1),
         # Coarse grids pass the level-count checks, but the length is too
         # large for a float (2 n^2) or for the int64 frequency values.
         ("estimate", '{"pairs": [[1, 1e300]]}', ["--eps1", "1", "--eps2", "1"], 1),
         ("estimate", '{"pairs": [[1, 1e150]]}', ["--eps1", "1", "--eps2", "1"], 1),
-        ("estimate-d", '{"d": 2, "entries": [[[1, 1], 1e150]]}', ["--eps1", "1", "--eps2", "1"], 1),
+        ("estimate", '{"d": 2, "entries": [[[1, 1], 1e150]]}', ["--eps1", "1", "--eps2", "1"], 1),
+        # A property with an argument it does not take, without one it needs,
+        # and one that does not exist.
+        ("estimate", '{"pairs": [[2, 2], [1, 1]]}', ["--property", "entropy:3"], 1),
+        ("estimate", '{"pairs": [[2, 2], [1, 1]]}', ["--property", "coverage"], 1),
+        ("estimate", '{"pairs": [[2, 2], [1, 1]]}', ["--property", "bogus"], 1),
+        # A joint profile whose entries are not a list.
+        ("estimate", '{"d": 2, "entries": 5}', [], 1),
     ],
 )
 def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, args, code):
@@ -308,7 +358,7 @@ JOINT_PAIRS = [
 @pytest.mark.parametrize("prop", ["entropy", "coverage:3", "uniformity:5"])
 def test_joint_estimate_refuses_one_sequence_properties(tmp_path, runner, text, prop):
     path = write(tmp_path, "dp.json", text)
-    result = runner.invoke(main, ["estimate-d", path, "--property", prop])
+    result = runner.invoke(main, ["estimate", path, "--property", prop])
     assert result.exit_code == 1, result.output
     assert len(result.stderr.strip().splitlines()) == 1
     assert "defined at d = 1 only" in result.stderr
@@ -320,7 +370,7 @@ def test_joint_estimate_refuses_one_sequence_properties(tmp_path, runner, text, 
         # About 4e9 levels (29 GiB) on the one coordinate.
         ("estimate", '{"pairs": [[2, 2], [1, 1]]}', (5,), "1e-9"),
         # About 2e4 and 3.5e4 levels per coordinate, 7e8 in the product grid.
-        ("estimate-d", '{"d": 2, "entries": [[[1, 2], 2]]}', (2, 4), "1e-4"),
+        ("estimate", '{"d": 2, "entries": [[[1, 2], 2]]}', (2, 4), "1e-4"),
     ],
 )
 def test_oversized_probability_grid_exits_cleanly(tmp_path, runner, command, text, n, eps1):

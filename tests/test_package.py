@@ -29,7 +29,7 @@ def test_importing_pml_loads_no_submodule():
 
 @pytest.mark.parametrize("command, text", [
     ("estimate", '{"pairs": [[6, 1], [5, 2], [3, 2], [2, 7], [1, 4]]}'),
-    ("estimate-d", '{"d": 2, "entries": [[[2, 1], 1], [[1, 0], 2], [[0, 2], 1]]}'),
+    ("estimate", '{"d": 2, "entries": [[[2, 1], 1], [[1, 0], 2], [[0, 2], 1]]}'),
 ])
 def test_an_estimate_never_loads_the_oracles(tmp_path, command, text):
     path = tmp_path / "profile.json"
@@ -89,10 +89,10 @@ def test_the_cli_calls_its_layers_through_module_attributes(tmp_path, monkeypatc
         original = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda *a, **k: calls.append(attr) or original(*a, **k))
 
-    counted(pml.pipeline, "approximate_pml")
+    counted(pml.pipeline, "approximate_pml_d")
     counted(pml.estimators, "entropy")
     path = tmp_path / "profile.json"
     path.write_text('{"pairs": [[2, 2], [1, 1]]}')
     result = CliRunner().invoke(main, ["estimate", str(path), "--property", "entropy"])
     assert result.exit_code == 0, result.output
-    assert calls == ["approximate_pml", "entropy"]
+    assert calls == ["approximate_pml_d", "entropy"]
