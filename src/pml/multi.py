@@ -113,7 +113,8 @@ class DProfile:
             d = data["d"]
             entries = tuple((tuple(f), c) for f, c in data["entries"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed d-profile data: {exc}") from exc
+            shape = '{"d": d, "entries": [[[f_1, ..., f_d], count], ...]}'
+            raise ValueError(f"malformed d-profile data: expected {shape}") from exc
         dprofile = cls(entries)
         if not is_whole(d) or d != dprofile.d:
             raise ValueError(f"d must equal the frequency tuples' length {dprofile.d}, got {d!r}")

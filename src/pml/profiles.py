@@ -113,7 +113,8 @@ class Profile:
         try:
             pairs = [(f, c) for f, c in data["pairs"]]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed profile data: {exc}") from exc
+            shape = '{"pairs": [[frequency, count], ...]}'
+            raise ValueError(f"malformed profile data: expected {shape}") from exc
         return cls(tuple(pairs))
 
     @classmethod

@@ -114,7 +114,7 @@ def test_estimate_output_is_byte_stable_at_a_fixed_blas_thread_count(tmp_path):
     # n = 10 000 draws from Zipf(1) over k = 5 000 symbols (default_rng(0)).
     # Threaded BLAS products sum in another order, so the 17-digit output
     # may move in its last bits with the thread count (entropy
-    # 6.2279621617719085 on one thread, 6.2279621618757286 on two), but not
+    # 6.1975326157356525 on one thread, 6.1975326237729114 on two), but not
     # from one run to the next.
     p = 1.0 / np.arange(1, 5001)
     sample = np.random.default_rng(0).choice(5000, size=10_000, p=p / p.sum())
@@ -248,8 +248,8 @@ def test_usage_errors_exit_1(tmp_path, runner, args):
 
 
 def test_an_uncertified_estimate_exits_2_and_still_emits(tmp_path, runner):
-    # No solve reaches a gap of 1e-300; this one stops after 54 Newton steps
-    # at a gap of 4.45e-11.
+    # No solve reaches a gap of 1e-300; this one stops after 47 Newton steps
+    # at a gap of 9.88e-8.
     path = write(tmp_path, "p.json", '{"pairs": [[2, 2], [1, 1]]}')
     result = runner.invoke(main, ["estimate", path, "--delta", "1e-300"])
     assert result.exit_code == 2, result.output
@@ -317,6 +317,9 @@ def test_an_uncertified_estimate_exits_2_and_still_emits(tmp_path, runner):
         ("estimate", '{"pairs": [[2, 2], [1, 1]]}', ["--property", "bogus"], 1),
         # A joint profile whose entries are not a list.
         ("estimate", '{"d": 2, "entries": 5}', [], 1),
+        # A list, not an object, and a joint profile with no entries.
+        ("estimate", '[1, 2]', [], 1),
+        ("estimate", '{"d": 2}', [], 1),
     ],
 )
 def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, args, code):
@@ -329,6 +332,21 @@ def test_bad_and_extreme_inputs_exit_cleanly(tmp_path, runner, command, text, ar
         assert len(result.stderr.strip().splitlines()) == 1
     else:
         assert json.loads(result.stdout)["certified"] is True
+
+
+@pytest.mark.parametrize("text, shape", [
+    ('[1, 2]', '{"pairs": [[frequency, count], ...]}'),
+    ('{"d": 2, "entries": 5}', '{"d": d, "entries": [[[f_1, ..., f_d], count], ...]}'),
+    ('{"d": 2}', '{"d": d, "entries": [[[f_1, ..., f_d], count], ...]}'),
+])
+def test_malformed_profiles_name_the_expected_shape(tmp_path, runner, text, shape):
+    # These refusals once read "list indices must be integers or slices, not
+    # str", "'int' object is not iterable" and "'entries'": Python's own
+    # exception text, which names no shape.
+    path = write(tmp_path, "p.json", text)
+    result = runner.invoke(main, ["estimate", path])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.strip().endswith(f"data: expected {shape}")
 
 
 def test_budgets_beyond_int64_keep_the_diagnostics_finite(tmp_path, runner):

@@ -149,7 +149,8 @@ def test_zipf_certifies_at_default_delta(d, n, most):
     # frequencies on the default grids. Started from the last stage's end
     # point, each stage took 20 to 28 damped steps, 160 in all; started from
     # the extrapolated central path, 117; started on its tangent, 90; with
-    # the first stage started at the Poissonized dual point, 48. The joint
+    # the first stage started at the Poissonized dual point, 48; with a
+    # rejected undamped step shortened before it is damped, 33. The joint
     # d = 2, n = 1000 draw took 132 steps from the secant through the last
     # two stage ends, and takes 71 on the tangent.
     rng = np.random.default_rng(0)
@@ -202,7 +203,8 @@ def test_two_symbol_pairs_certify(entries):
     # after 51 and 57 steps; started from the extrapolated central path they
     # certify. The third, a five-symbol pair of the d = 2 sweep, then ended at
     # 1.31 times delta after 115 steps, its candidates scoring worse as t fell;
-    # with Newton steps in (mu, lam) together it certifies in 58.
+    # with Newton steps in (mu, lam) together it certified in 58, and it now
+    # takes 31.
     _, diag = approximate_pml_d(DProfile.from_dict({"d": 2, "entries": entries}))
     assert diag.certified
 
@@ -212,7 +214,7 @@ def test_joint_estimate_holds_few_level_by_column_arrays():
     # rotated by s places: 4 913 levels and 15 columns, 0.59 MB per array of
     # that shape. The solve keeps its table, the best point, the dual's
     # scratch array and one P; the rest is done in place. Before, the
-    # estimate peaked at 11.2 such arrays (6.6 MB); now at 5.4.
+    # estimate peaked at 11.2 such arrays (6.6 MB); now at 5.8.
     rng = np.random.default_rng(0)
     profile = d_profile_of([rng.choice(15, size=30, p=zipf(15, s)).tolist() for s in range(3)])
     tracemalloc.start()

@@ -437,7 +437,7 @@ def test_joint_descent_solves_lam_only_at_stage_starts(monkeypatch):
     # only at a stage's start and at its predicted start, at most twice per
     # stage (the nested solve ran one per mu value call, 138 in all); no
     # Schur complement is pseudo-inverted; and every stage ends with its
-    # active budgets met to 1e-7 (to 3.1e-9 at most).
+    # active budgets met to 1e-7 (to 1.3e-8 at most).
     spec = default_grid_spec(zipf_sequences(2, 100))
     solves, budget_multipliers = Counter(), solver_module._budget_multipliers
 
@@ -468,7 +468,8 @@ def test_hessians_only_at_accepted_points(monkeypatch):
     # each, and the descent starts from the probe's value, so no point is
     # evaluated twice at one t (before, each stage evaluated its start again:
     # 111 value calls). Started from the Poissonized dual point, not each
-    # column's nearest level, the solve makes 50 value calls, not 81.
+    # column's nearest level, the solve made 50 value calls, not 81; with a
+    # rejected undamped step shortened before it is damped, it makes 41.
     p = 1.0 / np.arange(1, 501)
     sample = np.random.default_rng(0).choice(500, size=1000, p=p / p.sum())
     spec = default_grid_spec([[str(x) for x in sample]])
@@ -496,7 +497,9 @@ def test_stages_start_from_the_damping_of_the_last(monkeypatch):
     # Each stage starts its damping where the previous stage's first step was
     # accepted. Restarting it at zero rejected 13, 15, 15 and 11 trials before
     # the first step of stages 2 to 5 (a tenfold rise per rejection, up to
-    # the 1e0 to 1e6 the previous stage needed), 176 value calls in all.
+    # the 1e0 to 1e6 the previous stage needed), 176 value calls in all. With
+    # a rejected undamped step shortened first, every step here is accepted
+    # at tau = 0, and the solve makes 41 value calls either way.
     p = 1.0 / np.arange(1, 501)
     sample = np.random.default_rng(0).choice(500, size=1000, p=p / p.sum())
     spec = default_grid_spec([[str(x) for x in sample]])
@@ -609,10 +612,10 @@ def test_damping_keeps_a_tenth_after_a_raised_step(monkeypatch, d, n, kind, most
     # A step that needed its damping raised keeps a tenth of it; a hundredfold
     # fall mostly rejected the next two trials (tau / 100 and tau / 10) before
     # accepting at tau again. Only the joint (mu, lam) descents, counted as
-    # "mu" here, still gain from it: the joint d = 2, n = 100 draw makes 88
-    # value calls (100 with a hundredfold fall) and d = 3, n = 100 89 (100).
+    # "mu" here, still gain from it: the joint d = 2, n = 100 draw makes 91
+    # value calls (103 with a hundredfold fall) and d = 3, n = 100 92 (103).
     # The d = 1 descents and the stage-start lam solves make as many calls
-    # either way, within two (Zipf n = 3000: 74 against 72).
+    # either way (Zipf n = 3000: 39, every step accepted at tau = 0).
     calls = {"mu": 0, "lam": 0}
     descend = solver_module._descend
 
@@ -628,6 +631,39 @@ def test_damping_keeps_a_tenth_after_a_raised_step(monkeypatch, d, n, kind, most
     monkeypatch.setattr(solver_module, "_descend", counting)
     assert solve(default_grid_spec(zipf_sequences(d, n))).certified
     assert calls[kind] <= most
+
+
+def test_a_rejected_undamped_step_is_shortened_before_it_is_damped():
+    # f(x) = e^x - x from x = -2, far left of its minimum at 0: the Newton
+    # step, (1 - e^-2) / e^-2 = 6.39, overshoots to f = 76. The same step at
+    # 0.3 of its length is accepted with tau still 0, one value call later.
+    # Raising the damping instead rejected 13 trials (tau = 0, then 1e-12 up
+    # to 0.1) and accepted at tau = 1, 15 value calls in all.
+    trials = []
+
+    def value(x):
+        trials.append(x[0])
+        return float(np.exp(x[0]) - x[0]), None
+
+    def derivatives(x, state):
+        return np.array([np.exp(x[0]) - 1.0]), np.array([[np.exp(x[0])]]), state
+
+    x, _, steps, tau, _ = solver_module._descend(value, derivatives, np.array([-2.0]), 1)
+    newton = (1.0 - math.exp(-2.0)) / math.exp(-2.0)
+    assert steps == 1 and tau == 0.0
+    assert trials == [-2.0, pytest.approx(-2.0 + newton), pytest.approx(-2.0 + 0.3 * newton)]
+    assert x[0] == trials[-1]
+
+
+def test_zipf_n10000_certifies_within_38_steps():
+    # With a rejected undamped step shortened, every Newton step of this
+    # solve is accepted at tau = 0, 33 in all. Raising the damping instead
+    # took 48: the second stage rejected 12 trials (tau = 0, then 1e-12 up to
+    # 0.01) before its first step at tau = 0.1, and the next steps and stages
+    # started from that damping, falling a hundredfold per step.
+    result = solve(default_grid_spec(zipf_sequences(1, 10_000)))
+    assert result.certified
+    assert result.iterations <= 38
 
 
 def test_value_and_row_terms_never_underflow(monkeypatch):
