@@ -36,11 +36,9 @@ one: ``W_i <= lam . level_i`` on every row, a feasible dual point.
 
 Each later stage starts on the central path's tangent (the predictor step
 of path following) if ``F_t`` is lower there than at the last stage's end
-``x_k``, both with lam on its minimiser at two or three budgets, and the
-prediction's value state is handed to the descent. A stage that takes no
-step from the prediction reruns from ``x_k``: the point can be lower in
-``F_t`` and still leave the damped steps stuck, as ``[[200, 1], [100, 1]]``
-at eps = 0.5 did. The path's point ``x = (mu, lam)`` zeroes the gradient
+``x_k``, both with lam on its minimiser at two or three budgets, and with
+the prediction's value state; else at ``x_k``. That comparison is the one
+guard on a prediction. The path's point ``x = (mu, lam)`` zeroes the gradient
 ``(c - P^T a, 1 - L^T a)``, and at fixed x only ``a_i = exp(s_i) / kappa_i``
 depends on t, with ``s_i = (W_i - lam . level_i) / (kappa_i t)``, so
 ``da/dt = -a s / t``. Hence ``dx/dt = -H^-1 (P^T (a s), L^T (a s)) / t``,
@@ -600,13 +598,13 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
     Each stage runs Newton steps in mu (at one budget) or in (mu, lam) (at
     two or three) until they stop decreasing the smoothed dual, then scores
     its smoothed primal and its repaired dual bound. The first stage starts
-    at the Poissonized dual point; each later one at the last stage's end
-    point or on the central path's tangent, at two or three budgets with lam
-    first put on its minimiser (see the module). The solve stops once the
-    certified gap drops below ``config.delta``; a gap still above it when the
-    stages or the ``config.max_iters`` Newton steps run out flags the result
-    non-certified. It runs on the observed columns and returns its point in
-    the caller's shape, zero on the empty columns.
+    at the Poissonized dual point; each later one on the central path's
+    tangent or at the last stage's end point, whichever has the lower
+    ``F_t`` (the one guard on a prediction; see the module). The solve
+    stops once the certified gap drops below ``config.delta``; a gap still
+    above it when the stages or the ``config.max_iters`` Newton steps run
+    out flags the result non-certified. It runs on the observed columns and
+    returns its point in the caller's shape, zero on the empty columns.
 
     Level-by-column arrays: the spec's table (``_ReducedDual.C`` is a view of
     it), the best point so far and the dual's scratch array exist
@@ -637,25 +635,17 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
         x = np.r_[x, np.maximum(spec.disc_lengths, 1.0)]
         lower, rtol = np.r_[np.full(x.size - spec.dim, -np.inf), np.zeros(spec.dim)], 1e-20
     bound, steps, tau, ahead = np.inf, 0, 0.0, None
-
-    def descend(start, evaluated):
-        return _descend(dual.value, dual.derivatives, start, config.max_iters - steps,
-                        lower=lower, rtol=rtol, tau=tau, evaluated=evaluated)
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_STAGES):
-            here, evaluated = dual.settle(x) if spec.dim > 1 else (x, None)
-            start = here
+            start, evaluated = dual.settle(x) if spec.dim > 1 else (x, None)
             if ahead is not None:  # the predicted start, if F_t is lower there (see the module)
                 # First: only the next value call reads the certificate's W at x.
-                at_here = dual.value(here)[0] if evaluated is None else evaluated[0]
+                at_x = dual.value(start)[0] if evaluated is None else evaluated[0]
                 ahead, trial = dual.settle(ahead) if spec.dim > 1 else (ahead, dual.value(ahead))
-                start, evaluated = (ahead, trial) if trial[0] < at_here else (here, None)
-            x, (lam_t, a, W, rows, P), taken, tau, H = descend(start, evaluated)
-            if taken == 0 and start is not here:  # stuck at the prediction: rerun from here
-                del P
-                dual.anchor = None  # an exact start, and no second P while the rerun runs
-                x, (lam_t, a, W, rows, P), taken, tau, H = descend(here, None)
+                start, evaluated = (ahead, trial) if trial[0] < at_x else (start, None)
+            x, (lam_t, a, W, rows, P), taken, tau, H = _descend(
+                dual.value, dual.derivatives, start, config.max_iters - steps,
+                lower=lower, rtol=rtol, tau=tau, evaluated=evaluated)
             step = dual.tangent(lam_t, a, W, rows, P, H)  # the central path's tangent
             ahead = None if step is None else x + step
             mu = x[: spec.num_cols - 1]

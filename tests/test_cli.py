@@ -419,3 +419,77 @@ def test_tiny_eps2_runs_and_an_oversized_frequency_grid_exits_cleanly(tmp_path, 
     assert "Traceback" not in result.output
     assert len(result.stderr.strip().splitlines()) == 1
     assert "frequency grid" in result.stderr
+
+
+FUZZ_BASES = [
+    {"pairs": [[2, 2], [1, 1]]},
+    {"pairs": [[3, 1], [1, 2]]},
+    {"d": 2, "entries": [[[1, 0], 2], [[0, 1], 2], [[1, 1], 1]]},
+    {"d": 3, "entries": [[[1, 1, 1], 2], [[2, 0, 1], 1]]},
+]
+FUZZ_VALUES = [1e300, 10**20, 2**63, 1e17, 1.5, 0.5, 1e-300, -1, 0, math.nan, math.inf,
+               "2", True, None, [], {}]
+
+
+def fuzz_inputs():
+    """(file text, extra arguments) pairs: every number of each base replaced
+    by each fuzz value, other values of d, more than three sequences, empty
+    and malformed files, and bad --property arguments."""
+    def leaves(obj, at=()):
+        if isinstance(obj, (list, dict)):
+            for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+                yield from leaves(value, at + (key,))
+        else:
+            yield at
+
+    def replaced(obj, at, value):
+        obj = json.loads(json.dumps(obj))
+        target = obj
+        for key in at[:-1]:
+            target = target[key]
+        target[at[-1]] = value
+        return obj
+
+    for base in FUZZ_BASES:
+        for at in leaves(base):
+            for value in FUZZ_VALUES:
+                # A frequency of 1e17 at d = 3 can pass every size check and
+                # then take about 30 s to estimate, too long for this suite.
+                if not (base.get("d") == 3 and len(at) == 4 and value == 1e17):
+                    yield json.dumps(replaced(base, at, value)), []
+    for d in (0, 1, 3, 4, -1, 2.0, 2.5, "2", True, None, 10**20):
+        yield json.dumps(replaced(FUZZ_BASES[2], ("d",), d)), []
+    yield '{"d": 4, "entries": [[[1, 1, 1, 1], 2]]}', []
+    yield '{"d": 5, "entries": [[[1, 0, 1, 1, 2], 2], [[0, 1, 0, 0, 0], 1]]}', []
+    yield '{"pairs": [[1, 2]], "d": 2}', []
+    yield '{"entries": [[[1, 1], 2]]}', []
+    for text in ("", " ", "\n", "{}", "[]", "null", "0", '"x"', '{"pairs": []}', '{"pairs": null}',
+                 '{"d": 2, "entries": []}', '[{"pairs": [[1, 2]]}]', '{"pairs": [[1]]}',
+                 '{"pairs": [[1, 2, 3]]}'):
+        yield text, []
+    for prop in ("coverage:-1", "coverage:0", "coverage:1e3", "coverage:99999999999999999999",
+                 "uniformity:0", "uniformity:-5", "uniformity:1", "uniformity:99999999999999999999",
+                 ":", "", "entropy:", "support:x", "coverage:", "coverage:3:4", "ENTROPY", " entropy"):
+        for base in (FUZZ_BASES[0], FUZZ_BASES[2]):
+            yield json.dumps(base), ["--property", prop]
+
+
+def test_malformed_inputs_never_raise_a_traceback(tmp_path, capsys):
+    # About 480 mutations of valid profiles and joint profiles, in this one
+    # process: each must be estimated (exit 0 or 2) or refused with a
+    # ClickException (exit 1). Any other exception, a RuntimeWarning among
+    # them, would reach the user as a traceback.
+    path = tmp_path / "p.json"
+    tracebacks = []
+    for text, args in fuzz_inputs():
+        path.write_text(text, encoding="utf-8")
+        try:
+            main.main(["estimate", str(path), *args], standalone_mode=False)
+        except click.ClickException as err:
+            assert err.exit_code == 1 and "\n" not in err.format_message(), (text, args)
+        except SystemExit as err:
+            assert err.code == 2, (text, args)
+        except Exception as err:  # any other exception is a finding
+            tracebacks.append((text, args, repr(err)))
+        capsys.readouterr()
+    assert not tracebacks

@@ -18,6 +18,7 @@ from pml import (
     profile_of_sequence,
     support_size,
 )
+from pml.pipeline import _freq_disc_slack
 
 
 def output_logprob(dist, profile):
@@ -300,15 +301,40 @@ def test_few_symbols_certify(k, n, eps):
     # The observed columns of every stage's smoothed primal overshot the
     # budget on their own, so no stage gave a feasible point and only the
     # start was scored: 10 of these 80 ended uncertified, [[67, 1], [33, 1]]
-    # at gap 1.25 against delta 4.6e-4. [[100, 1], [200, 1]] at eps = 0.5 has
-    # a stage that takes no step from its extrapolated start, and ended at
-    # gap 1.97e-3 against delta 1.85e-3 until such a stage reran from the
-    # last stage's end point.
+    # at gap 1.25 against delta 4.6e-4. [[100, 1], [200, 1]] at eps = 0.5
+    # has two stages whose predicted starts already meet the descent's stop
+    # test, so they take no step, and it certifies so (see
+    # test_two_symbols_certify_within_their_steps).
     freqs = [n * i // (k * (k + 1) // 2) for i in range(1, k)]
     profile = Profile(tuple((f, 1) for f in freqs + [n - sum(freqs)]))
     kwargs = {} if eps is None else {"eps1": eps, "eps2": eps}
     _, diag = approximate_pml(profile, **kwargs)
     assert diag.certified
+
+
+@pytest.mark.parametrize("eps, most", [(0.5, 19), (0.3, 14), (1.0, 13), (None, 20)])
+def test_two_symbols_certify_within_their_steps(eps, most):
+    # [[200, 1], [100, 1]]: 15, 11, 10 and 16 Newton steps. While a stage
+    # that took no step from its predicted start reran the whole stage from
+    # the last stage's end point, they took 35, 20, 16 and 25.
+    kwargs = {} if eps is None else {"eps1": eps, "eps2": eps}
+    _, diag = approximate_pml(Profile(((200, 1), (100, 1))), **kwargs)
+    assert diag.certified
+    assert diag.solver_iterations <= most
+
+
+@pytest.mark.parametrize("d, n, eps2, slack", [
+    # 7 eps n log n at one dimension.
+    (1, (100,), (0.5,), 7 * 0.5 * 100 * math.log(100)),
+    # 5 sum_k eps_k n_k log n_k, plus the cross-term c log c of the
+    # c = sum_k eps_k n_k changed tuples when c > 1.
+    (2, (100, 50), (0.5, 0.2), 5 * (50 * math.log(100) + 10 * math.log(50)) + 60 * math.log(60)),
+    # c = 0.4: no cross-term, where c log c would be negative.
+    (2, (2, 2), (0.1, 0.1), 5 * 0.4 * math.log(2)),
+])
+def test_freq_disc_slack_matches_hand_computed_values(d, n, eps2, slack):
+    value = _freq_disc_slack(d, np.array(n, dtype=float), np.array(eps2))
+    assert value == pytest.approx(slack, rel=1e-12)
 
 
 @pytest.mark.parametrize(

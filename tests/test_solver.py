@@ -655,6 +655,64 @@ def test_a_rejected_undamped_step_is_shortened_before_it_is_damped():
     assert x[0] == trials[-1]
 
 
+def test_a_step_that_crosses_the_bound_is_projected_onto_it():
+    # f(x) = (x + 1)^2 with x >= 0, from x = 1: the Newton step lands on the
+    # unconstrained minimum, -1. The trial is projected onto the bound and
+    # accepted there (f falls from 4 to 1), and the descent stops, as the
+    # gradient then points out of the bound. Unprojected, -1 was accepted.
+    trials = []
+
+    def value(x):
+        trials.append(x[0])
+        return float((x[0] + 1.0) ** 2), None
+
+    def derivatives(x, state):
+        return np.array([2.0 * (x[0] + 1.0)]), np.array([[2.0]]), state
+
+    x, _, steps, _, _ = solver_module._descend(value, derivatives, np.array([1.0]), 10, lower=0.0)
+    assert trials == [1.0, 0.0]
+    assert steps == 1 and x[0] == 0.0
+
+
+def test_a_coordinate_held_at_its_bound_is_decoupled_from_the_step():
+    # f(x, y) = (x + 1)^2 + (y - 1)^2 + 1.5 x y with x >= 0, from (0, 0),
+    # where the gradient (2, -2) points x out of the bound: the constrained
+    # minimum is (0, 1). With x decoupled, the Newton step in y alone reaches
+    # it in one step. Coupled through the cross term, the step (-4, 4) aims
+    # at the unconstrained minimum (-4, 4); projected, its full length is
+    # rejected (f = 10 against 2) and 0.3 of it accepted at (0, 1.2).
+    trials = []
+
+    def value(x):
+        trials.append(x.copy())
+        return float((x[0] + 1.0) ** 2 + (x[1] - 1.0) ** 2 + 1.5 * x[0] * x[1]), None
+
+    def derivatives(x, state):
+        grad = np.array([2.0 * (x[0] + 1.0) + 1.5 * x[1], 2.0 * (x[1] - 1.0) + 1.5 * x[0]])
+        return grad, np.array([[2.0, 1.5], [1.5, 2.0]]), state
+
+    x, _, steps, _, _ = solver_module._descend(value, derivatives, np.zeros(2), 10,
+                                               lower=np.array([0.0, -np.inf]))
+    assert steps == 1 and len(trials) == 2
+    assert x[0] == 0.0 and x[1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_stage_with_no_tangent_starts_at_the_last_end_point(monkeypatch, d):
+    # The tangent is None when its Hessian is singular. Each later stage then
+    # starts at the last stage's end point (at two budgets, with lam first
+    # put on its minimiser there, so only mu is compared), and the Zipf
+    # n = 100 draw still certifies.
+    monkeypatch.setattr(_ReducedDual, "tangent", lambda *args: None)
+    records = watch_mu_solves(monkeypatch)
+    spec = default_grid_spec(zipf_sequences(d, 100))
+    assert solve(spec).certified
+    assert len(records) >= 2
+    for last, stage in zip(records, records[1:]):
+        np.testing.assert_array_equal(stage["start"][: spec.num_cols - 1],
+                                      last["x"][: spec.num_cols - 1])
+
+
 def test_zipf_n10000_certifies_within_38_steps():
     # With a rejected undamped step shortened, every Newton step of this
     # solve is accepted at tau = 0, 33 in all. Raising the damping instead
