@@ -24,7 +24,6 @@ _EXPORTS = {
         "assignment": (
             "AssignmentSpec", "EnumerationCapError", "count_feasible", "grad_log_weight_relaxed",
             "is_feasible", "iter_feasible", "log_count_bound", "log_weight", "log_weight_relaxed",
-            "log_weight_sum",
         ),
         "estimators": (
             "LevelSetDistribution", "distance_to_uniformity", "entropy", "kl_plugin", "normalize",
@@ -45,8 +44,7 @@ _EXPORTS = {
         ),
         "pipeline": ("PipelineDiagnostics", "approximate_pml", "approximate_pml_d"),
         "profiles": (
-            "Profile", "TypeVector", "log_profile_coefficient", "profile_coefficient_exact",
-            "profile_of_sequence", "profile_of_type", "type_of_sequence",
+            "Profile", "log_profile_coefficient", "profile_coefficient_exact", "profile_of_sequence",
         ),
         "rounding": ("RoundedSolution", "pseudo_from_assignment", "round_assignment"),
         "solver": (

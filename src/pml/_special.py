@@ -43,28 +43,22 @@ def clipped_exp(x):
     return np.exp(np.maximum(x, EXP_FLOOR))
 
 
-def logsumexp(a, axis: int | None = None):
-    """``log(sum(exp(a)))`` over ``axis`` (all entries when None), shifted by the max.
+def logsumexp(a) -> float:
+    """``log(sum(exp(a)))`` over every entry, shifted by the max.
 
     The shifted exponents are clipped from below at ``EXP_FLOOR``
     (:func:`clipped_exp`), so no ``exp`` underflows. The largest term is one,
     so the clip moves the result by at most ``n e^-700`` relative: it is
-    lost in roundoff, and it only ever raises the sum. A slice that is
-    empty or all ``-inf`` gives ``-inf`` without a warning, and one holding
-    ``+inf`` gives ``+inf``. Returns a float for a full reduction and an
-    array otherwise.
+    lost in roundoff, and it only ever raises the sum. A max that is not
+    finite is the result, without a warning: ``-inf`` for an empty or
+    all ``-inf`` input, ``+inf`` for one holding ``+inf``, NaN for one
+    holding NaN.
     """
     a = np.asarray(a, dtype=float)
-    if axis is None and a.size:  # a finite max needs no masking: the common case, fast
-        top = float(a.max())
-        if math.isfinite(top):
-            return float(np.log(clipped_exp(a - top).sum()) + top)
-    top = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(clipped_exp(a - shift), axis=axis, keepdims=True)) + shift
-    out = np.where(top == -np.inf, -np.inf, out)  # the clip would lift these to -699
-    return float(out.reshape(())) if axis is None else np.squeeze(out, axis=axis)
+    top = float(a.max(initial=-np.inf))
+    if not math.isfinite(top):
+        return top
+    return float(np.log(clipped_exp(a - top).sum()) + top)
 
 
 _table = np.zeros(0)  # log(k!) for k below its size, grown by _log_factorial_table

@@ -34,7 +34,6 @@ __all__ = [
     "count_feasible",
     "has_commensurable_levels",
     "log_count_bound",
-    "log_weight_sum",
     "log_weight_total",
 ]
 
@@ -211,19 +210,16 @@ def grad_log_weight_relaxed(X, spec: AssignmentSpec, floor: float = GRAD_FLOOR) 
     )
 
 
-def is_feasible(X, spec: AssignmentSpec, tol: float = 1e-9, integral: bool = False) -> bool:
+def is_feasible(X, spec: AssignmentSpec, tol: float = 1e-9) -> bool:
     """Check finiteness, nonnegativity, observed column sums, and the mass budget.
 
-    When the spec pins row counts, those are checked as well. ``integral``
-    additionally requires near-integer entries.
+    When the spec pins row counts, those are checked as well.
     """
     X = _check_matrix(X, spec)
     if X.ndim != 2:
         raise ValueError("feasibility is checked one matrix at a time")
     # Every check below is a comparison, and comparisons with NaN are false.
     if not np.all(np.isfinite(X)) or np.any(X < -tol):
-        return False
-    if integral and np.any(np.abs(X - np.rint(X)) > tol):
         return False
     if np.any(np.abs(X[:, 1:].sum(axis=0) - spec.col_counts) > tol):
         return False
@@ -413,8 +409,3 @@ def log_weight_total(matrices, spec: AssignmentSpec) -> float:
     if not chunks:
         return float("-inf")
     return float(logsumexp(np.array(chunks)))
-
-
-def log_weight_sum(spec: AssignmentSpec, cap: int = 200_000) -> float:
-    """log of the sum of exp(log_weight) over the whole feasible set."""
-    return log_weight_total(iter_feasible(spec, cap=cap), spec)

@@ -91,13 +91,6 @@ class LevelSetDistribution:
     def is_normalized(self, tol: float = _MASS_TOL) -> bool:
         return bool(np.all(np.abs(self.total_mass - 1.0) <= tol))
 
-    def to_dense(self) -> np.ndarray:
-        """One value (row) per element, descending (requires integral counts)."""
-        reps = np.rint(self.counts).astype(np.int64)
-        if np.any(np.abs(reps - self.counts) > 1e-9):
-            raise ValueError("dense expansion needs integral counts")
-        return np.repeat(self.values, reps, axis=0)
-
     def as_pairs(self) -> tuple[tuple, ...]:
         """(value, count) per level; a joint value is a list of d floats."""
         return tuple(zip(self.values.tolist(), self.counts.tolist()))

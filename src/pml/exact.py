@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ._special import logsumexp
 from .combinatorics import composition_array, iter_partitions, num_compositions
 from .estimators import merge_levels
 from .multi import DProfile, log_d_profile_coefficient
-from .profiles import Profile, TypeVector, log_profile_coefficient
+from .profiles import Profile, log_profile_coefficient
 
 __all__ = [
     "OracleSizeError",
@@ -80,17 +80,17 @@ def _as_prob_vector(probs) -> np.ndarray:
     return p
 
 
-def sequence_logprob(probs, type_vector: TypeVector | dict) -> float:
+def sequence_logprob(probs, type_vector: Mapping[Hashable, int]) -> float:
     """Log-probability of observing any one sequence with the given type.
 
-    ``probs`` is a dense (pseudo-)distribution indexed by integers; the type's
-    symbols must be valid indices. Returns -inf when a required symbol has
-    probability zero.
+    ``probs`` is a dense (pseudo-)distribution indexed by integers; the type
+    maps symbols to frequencies (a ``dict`` or a ``Counter``), and its symbols
+    must be valid indices. Returns -inf when a required symbol has probability
+    zero.
     """
     p = _as_prob_vector(probs)
-    entries = type_vector.entries if isinstance(type_vector, TypeVector) else type_vector
     out = 0.0
-    for sym, freq in entries.items():
+    for sym, freq in type_vector.items():
         px = p[sym]
         if px == 0.0:
             return float("-inf")

@@ -33,8 +33,8 @@ __all__ = [
 _BOUNDARY_SNAP = 1e-12
 
 # Refusal limit on a probability grid's level count, per coordinate and for
-# the product grid of a joint profile: 64 times the largest grid in use
-# (15 625 levels, d = 3 at n = 100). Each level is a row of the assignment
+# the product grid of a joint profile: about 10 times the largest grid in use
+# (103 823 levels, d = 3 at n = 1000). Each level is a row of the assignment
 # problem, so a grid this size is already far past what the solve can take.
 # Each coordinate's frequency grid is held to the same limit.
 MAX_LEVELS = 1_000_000

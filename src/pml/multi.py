@@ -89,11 +89,6 @@ class DProfile:
     def count_array(self) -> np.ndarray:
         return np.array([c for _, c in self.entries], dtype=np.int64)
 
-    def to_profile(self) -> Profile:
-        if self.d != 1:
-            raise ValueError("only 1-dimensional profiles convert directly")
-        return Profile(tuple((f[0], c) for f, c in self.entries))
-
     @classmethod
     def from_profile(cls, profile: Profile) -> "DProfile":
         return cls(tuple(((f,), c) for f, c in profile.pairs))

@@ -1,9 +1,9 @@
-"""Sequences, types, and profiles: label-free summaries of sample data.
+"""Profiles: label-free summaries of sample data.
 
-A *type* is the histogram of a sequence (symbol -> frequency); a *profile*
-(also called a fingerprint) is the histogram of the type and forgets the
-labels entirely. Profiles are the sufficient statistic for every symmetric
-property handled by this package.
+The *type* of a sequence is its histogram (symbol -> frequency); its
+*profile* (also called a fingerprint) is the histogram of the type and
+forgets the labels entirely. Profiles are the sufficient statistic for every
+symmetric property handled by this package.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ import numpy as np
 from ._special import log_factorial
 
 __all__ = [
-    "TypeVector",
     "Profile",
-    "type_of_sequence",
     "profile_of_sequence",
-    "profile_of_type",
     "log_profile_coefficient",
     "profile_coefficient_exact",
 ]
@@ -37,26 +34,6 @@ def is_whole(value) -> bool:
     if isinstance(value, numbers.Integral):
         return True
     return isinstance(value, (float, np.floating)) and float(value).is_integer()
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Histogram of a sequence: symbol -> frequency, every frequency >= 1."""
-
-    entries: Mapping[Hashable, int]
-
-    def __post_init__(self):
-        entries = dict(self.entries)
-        if not entries:
-            raise ValueError("type vector must contain at least one symbol")
-        for sym, freq in entries.items():
-            if freq != int(freq) or freq < 1:
-                raise ValueError(f"frequency of {sym!r} must be a positive integer")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return int(sum(self.entries.values()))
 
 
 @dataclass(frozen=True)
@@ -122,23 +99,12 @@ class Profile:
         return cls.from_dict(json.loads(text))
 
 
-def type_of_sequence(symbols: Iterable[Hashable]) -> TypeVector:
-    """Count symbol frequencies of a nonempty sequence."""
-    counts = Counter(symbols)
-    if not counts:
-        raise ValueError("cannot take the type of an empty sequence")
-    return TypeVector(dict(counts))
-
-
 def profile_of_sequence(symbols: Iterable[Hashable]) -> Profile:
     """Profile of a nonempty sequence: counts of symbols per frequency."""
-    return profile_of_type(type_of_sequence(symbols))
-
-
-def profile_of_type(type_vector: TypeVector) -> Profile:
-    """Forget the labels of a type, keeping only its frequency multiset."""
-    freq_counts = Counter(type_vector.entries.values())
-    return Profile(tuple(freq_counts.items()))
+    type_counts = Counter(symbols)
+    if not type_counts:
+        raise ValueError("cannot take the profile of an empty sequence")
+    return Profile(tuple(Counter(type_counts.values()).items()))
 
 
 def log_profile_coefficient(profile: Profile) -> float:

@@ -98,11 +98,6 @@ def test_level_merging_and_ordering():
     assert paired.counts[0] == pytest.approx(3.0)
 
 
-def test_dense_expansion():
-    dist = levelset([(0.25, 2), (0.5, 1)])
-    assert dist.to_dense().tolist() == [0.5, 0.25, 0.25]
-
-
 def test_normalize_paired_per_coordinate():
     paired = LevelSetDistribution(np.array([[0.25, 0.1], [0.25, 0.3]]), np.array([1, 1]))
     out = normalize(paired)

@@ -7,7 +7,6 @@ from pml import (
     GridSearchConfig,
     OracleSizeError,
     Profile,
-    TypeVector,
     brute_force_pml,
     levelset_profile_logprob,
     profile_logprob,
@@ -20,19 +19,19 @@ from conftest import make_rng, random_distribution, random_profile
 
 
 def test_sequence_logprob_examples():
-    assert sequence_logprob([0.5, 0.5], TypeVector({0: 1, 1: 1})) == pytest.approx(
+    assert sequence_logprob([0.5, 0.5], {0: 1, 1: 1}) == pytest.approx(
         math.log(0.25)
     )
-    assert sequence_logprob([1.0], TypeVector({0: 4})) == pytest.approx(0.0)
-    assert sequence_logprob([0.6, 0.4], TypeVector({0: 2, 1: 1})) == pytest.approx(
+    assert sequence_logprob([1.0], {0: 4}) == pytest.approx(0.0)
+    assert sequence_logprob([0.6, 0.4], {0: 2, 1: 1}) == pytest.approx(
         math.log(0.144)
     )
 
 
 def test_sequence_logprob_zero_and_range():
-    assert sequence_logprob([0.0, 1.0], TypeVector({0: 1})) == float("-inf")
+    assert sequence_logprob([0.0, 1.0], {0: 1}) == float("-inf")
     with pytest.raises(IndexError):
-        sequence_logprob([1.0], TypeVector({3: 1}))
+        sequence_logprob([1.0], {3: 1})
 
 
 def test_profile_logprob_examples():

@@ -4,12 +4,9 @@ import pytest
 
 from pml import (
     Profile,
-    TypeVector,
     log_profile_coefficient,
     profile_coefficient_exact,
     profile_of_sequence,
-    profile_of_type,
-    type_of_sequence,
 )
 from conftest import make_rng, random_sequence
 
@@ -28,18 +25,6 @@ def test_profile_rejects_empty_sequence():
         profile_of_sequence("")
 
 
-def test_type_of_sequence():
-    assert type_of_sequence("ababc").entries == {"a": 2, "b": 2, "c": 1}
-    assert type_of_sequence("aaaa").entries == {"a": 4}
-    assert type_of_sequence("abc").entries == {"a": 1, "b": 1, "c": 1}
-
-
-def test_profile_of_type():
-    assert profile_of_type(TypeVector({"a": 2, "b": 2, "c": 1})).pairs == ((2, 2), (1, 1))
-    assert profile_of_type(TypeVector({"a": 4})).pairs == ((4, 1),)
-    assert profile_of_type(TypeVector({"a": 3, "b": 1})).pairs == ((3, 1), (1, 1))
-
-
 def test_log_coefficient_examples():
     assert log_profile_coefficient(Profile(((4, 1),))) == pytest.approx(0.0, abs=1e-12)
     # n = 4 with one pair and two singletons: 4!/2! = 12
@@ -54,7 +39,8 @@ def test_round_trip_type_profile():
         alphabet = int(rng.integers(1, 7))
         seq = random_sequence(rng, n, alphabet)
         profile = profile_of_sequence(seq)
-        assert profile_of_type(type_of_sequence(seq)) == profile
+        counts = sorted((seq.count(sym) for sym in set(seq)), reverse=True)
+        assert profile.expanded_frequencies().tolist() == counts
         assert profile.n == len(seq)
 
 

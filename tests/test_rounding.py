@@ -95,7 +95,8 @@ def test_rounded_is_feasible_extended_and_integral(rng):
     for spec in tiny_solver_specs()[:8]:
         Xf = random_fractional_point(rng, spec)
         rounded = round_assignment(Xf, spec)
-        assert is_feasible(rounded.X, extended_spec(rounded, spec), tol=1e-9, integral=True)
+        assert is_feasible(rounded.X, extended_spec(rounded, spec), tol=1e-9)
+        assert np.all(np.abs(rounded.X - np.rint(rounded.X)) <= 1e-9)
 
 
 def test_budget_exact_when_unseen_is_integral(rng):

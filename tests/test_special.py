@@ -66,12 +66,17 @@ def test_log_factorial_is_lgamma_bit_for_bit_in_any_order(monkeypatch, order):
     assert log_factorial(np.array(ks)).tolist() == [math.lgamma(k + 1.0) for k in ks]
 
 
+def rowwise(rows):
+    """logsumexp of each row, one full reduction at a time."""
+    return [logsumexp(row) for row in rows]
+
+
 def test_logsumexp_matches_scipy(rng):
     a = 50.0 * rng.standard_normal((40, 7))
     a[3, 2] = -np.inf
-    for axis in (None, 0, 1):
-        np.testing.assert_allclose(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis),
-                                   rtol=1e-14)
+    np.testing.assert_allclose(logsumexp(a), scipy_logsumexp(a), rtol=1e-14)
+    for rows, axis in ((a.T, 0), (a, 1)):
+        np.testing.assert_allclose(rowwise(rows), scipy_logsumexp(a, axis=axis), rtol=1e-14)
     assert isinstance(logsumexp(a[0]), float)
 
 
@@ -79,11 +84,11 @@ def test_logsumexp_of_nothing_is_minus_inf():
     # The suite runs with RuntimeWarning as an error, so these also check
     # that no divide-by-zero warning escapes.
     rows = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
-    assert logsumexp(rows, axis=1).tolist() == [-np.inf, 0.0]
+    assert rowwise(rows) == [-np.inf, 0.0]
     assert logsumexp([]) == -np.inf
     assert logsumexp(np.full(3, -np.inf)) == -np.inf
-    assert logsumexp(np.zeros((0, 4)), axis=0).tolist() == [-np.inf] * 4
-    assert logsumexp(np.zeros((4, 0)), axis=1).tolist() == [-np.inf] * 4
+    assert rowwise(np.zeros((0, 4)).T) == [-np.inf] * 4
+    assert rowwise(np.zeros((4, 0))) == [-np.inf] * 4
 
 
 def test_logsumexp_of_a_wide_row_is_exact_without_underflow():
@@ -96,7 +101,7 @@ def test_logsumexp_of_a_wide_row_is_exact_without_underflow():
     exact = math.log(math.fsum(math.exp(x) for x in row))
     rows = np.stack([row, row + 37.25])
     with np.errstate(under="raise"):
-        got = [logsumexp(row), *logsumexp(rows, axis=1)]
+        got = [logsumexp(row), *rowwise(rows)]
     for value, ref in zip(got, [exact, exact, exact + 37.25]):
         assert abs(value - ref) <= math.ulp(ref)
         assert value >= ref
@@ -104,8 +109,21 @@ def test_logsumexp_of_a_wide_row_is_exact_without_underflow():
 
 def test_logsumexp_of_a_row_holding_plus_inf_is_plus_inf():
     rows = np.array([[0.0, np.inf, -np.inf], [np.inf, -5.0, 1.0]])
-    assert logsumexp(rows, axis=1).tolist() == [np.inf, np.inf]
+    assert rowwise(rows) == [np.inf, np.inf]
     assert logsumexp([1.0, np.inf]) == np.inf
+
+
+def test_logsumexp_of_a_nan_is_nan_without_a_warning():
+    # RuntimeWarning is an error in this suite.
+    assert math.isnan(logsumexp([0.0, np.nan, 1.0]))
+    assert math.isnan(logsumexp([np.nan, np.inf, -np.inf]))
+
+
+def test_logsumexp_of_a_scalar_or_a_list_is_a_float():
+    for a in (np.array(2.5), [2.5]):
+        value = logsumexp(a)
+        assert type(value) is float
+        assert value == 2.5
 
 
 @pytest.mark.parametrize("k", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 10**11])
