@@ -30,9 +30,9 @@ _EXPORTS = {
             "support_coverage", "support_size",
         ),
         "exact": (
-            "GridSearchConfig", "OracleSizeError", "brute_force_pml", "brute_force_pml_d",
-            "exact_d_profile_logprob", "levelset_d_profile_logprob", "levelset_profile_logprob",
-            "profile_logprob", "profile_logprob_by_sequences", "sequence_logprob",
+            "brute_force_pml", "brute_force_pml_d", "exact_d_profile_logprob",
+            "levelset_d_profile_logprob", "levelset_profile_logprob", "profile_logprob",
+            "profile_logprob_by_sequences", "sequence_logprob",
         ),
         "grids": (
             "DiscreteProfile", "FrequencyGrid", "ProbabilityGrid", "build_frequency_grid",
@@ -48,8 +48,7 @@ _EXPORTS = {
         ),
         "rounding": ("RoundedSolution", "pseudo_from_assignment", "round_assignment"),
         "solver": (
-            "InfeasibleError", "SolveResult", "SolverConfig", "default_delta", "initial_point",
-            "solve",
+            "InfeasibleError", "SolveResult", "default_delta", "initial_point", "solve",
         ),
     }.items()
     for name in names

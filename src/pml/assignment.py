@@ -41,7 +41,7 @@ GRAD_FLOOR = 1e-12
 
 
 class EnumerationCapError(ValueError):
-    """Feasible-set enumeration would exceed the requested cap."""
+    """An enumeration would exceed its cap or an oracle's size guard."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +195,8 @@ def log_weight_relaxed(X, spec: AssignmentSpec) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def grad_log_weight_relaxed(X, spec: AssignmentSpec, floor: float = GRAD_FLOOR) -> np.ndarray:
-    """Gradient of the relaxed score; entries below `floor` are clamped.
+def grad_log_weight_relaxed(X, spec: AssignmentSpec) -> np.ndarray:
+    """Gradient of the relaxed score; entries below ``GRAD_FLOOR`` are clamped.
 
     The true gradient diverges to +inf at a zero entry, which only ever pushes
     iterates inward, so the clamp preserves ascent directions.
@@ -205,8 +205,8 @@ def grad_log_weight_relaxed(X, spec: AssignmentSpec, floor: float = GRAD_FLOOR) 
     rows = X.sum(axis=-1)
     return (
         spec.lin_coeff
-        + np.log(np.maximum(rows, floor))[..., None]
-        - np.log(np.maximum(X, floor))
+        + np.log(np.maximum(rows, GRAD_FLOOR))[..., None]
+        - np.log(np.maximum(X, GRAD_FLOOR))
     )
 
 

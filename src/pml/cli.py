@@ -246,10 +246,10 @@ def cmd_exact(profile_path, dist_path):
     data = _load_json(dist_path)
     if not isinstance(data, dict) or "probs" not in data:
         raise click.ClickException(f"{dist_path}: expected a 'probs' array")
-    # Both size guards subclass ValueError, so they are caught first.
+    # The size guard subclasses ValueError, so it is caught first.
     try:
         value = exact.profile_logprob(np.asarray(data["probs"], dtype=float), profile)
-    except (exact.OracleSizeError, EnumerationCapError) as err:
+    except EnumerationCapError as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(EXIT_SIZE_GUARD)
     except (TypeError, ValueError) as err:
@@ -264,15 +264,12 @@ def cmd_exact(profile_path, dist_path):
 def cmd_bruteforce(profile_path, support_cap, resolution):
     """Grid-search PML over tiny supports; prints the best grid distribution."""
     from . import exact
+    from .assignment import EnumerationCapError
 
     profile = _read_profile(profile_path)
     try:
-        if support_cap is None:
-            config = exact.GridSearchConfig.default_for(profile, resolution)
-        else:
-            config = exact.GridSearchConfig(support_cap, resolution, profile.n)
-        probs, logprob = exact.brute_force_pml(profile, config)
-    except exact.OracleSizeError as err:
+        probs, logprob = exact.brute_force_pml(profile, support_cap, resolution)
+    except EnumerationCapError as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(EXIT_SIZE_GUARD)
     except ValueError as err:

@@ -88,8 +88,8 @@ class LevelSetDistribution:
         mass = self.values.T @ self.counts
         return float(mass) if self.dim == 1 else mass
 
-    def is_normalized(self, tol: float = _MASS_TOL) -> bool:
-        return bool(np.all(np.abs(self.total_mass - 1.0) <= tol))
+    def is_normalized(self) -> bool:
+        return bool(np.all(np.abs(self.total_mass - 1.0) <= _MASS_TOL))
 
     def as_pairs(self) -> tuple[tuple, ...]:
         """(value, count) per level; a joint value is a list of d floats."""

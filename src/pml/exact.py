@@ -10,12 +10,13 @@ and exists only to cross-check the first at tiny sizes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import numbers
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from . import assignment
+from .assignment import EnumerationCapError
 from ._special import logsumexp
 from .combinatorics import composition_array, iter_partitions, num_compositions
 from .estimators import merge_levels
@@ -23,8 +24,6 @@ from .multi import DProfile, log_d_profile_coefficient
 from .profiles import Profile, log_profile_coefficient
 
 __all__ = [
-    "OracleSizeError",
-    "GridSearchConfig",
     "sequence_logprob",
     "profile_logprob",
     "profile_logprob_by_sequences",
@@ -38,31 +37,6 @@ __all__ = [
 MAX_ORACLE_LENGTH = 12
 MAX_ORACLE_SUPPORT = 10
 MAX_GRID_CANDIDATES = 20_000
-
-
-class OracleSizeError(ValueError):
-    """An enumeration guard was exceeded."""
-
-
-@dataclass(frozen=True)
-class GridSearchConfig:
-    """Search space for brute-force PML: probabilities are multiples of
-    1/resolution over at most support_cap elements."""
-
-    support_cap: int
-    resolution: int
-    n: int
-
-    def __post_init__(self):
-        if self.support_cap < 1 or self.resolution < 1 or self.n < 1:
-            raise ValueError("support_cap, resolution and n must be positive")
-        if self.support_cap > 2 * self.n**2:
-            raise ValueError("support_cap may not exceed 2 n^2")
-
-    @classmethod
-    def default_for(cls, profile: Profile, resolution: int = 10) -> "GridSearchConfig":
-        n = profile.n
-        return cls(support_cap=min(2 * n**2, 10), resolution=resolution, n=n)
 
 
 def _as_prob_vector(probs) -> np.ndarray:
@@ -85,12 +59,15 @@ def sequence_logprob(probs, type_vector: Mapping[Hashable, int]) -> float:
 
     ``probs`` is a dense (pseudo-)distribution indexed by integers; the type
     maps symbols to frequencies (a ``dict`` or a ``Counter``), and its symbols
-    must be valid indices. Returns -inf when a required symbol has probability
-    zero.
+    must be indices of ``probs``; a ``ValueError`` refuses any other. Returns
+    -inf when a required symbol has probability zero.
     """
     p = _as_prob_vector(probs)
     out = 0.0
     for sym, freq in type_vector.items():
+        # A negative index would read from the end, and numpy takes a bool as a mask.
+        if isinstance(sym, bool) or not isinstance(sym, numbers.Integral) or not 0 <= sym < p.size:
+            raise ValueError(f"symbol {sym!r} is not an index of probs")
         px = p[sym]
         if px == 0.0:
             return float("-inf")
@@ -119,17 +96,15 @@ def profile_logprob(
 
     Enumerates every type of the right length over the support of ``probs``
     and keeps those whose frequency multiset matches the profile. Guarded to
-    tiny sizes; raises :class:`OracleSizeError` beyond them.
+    tiny sizes; raises :class:`EnumerationCapError` beyond them.
     """
     p = _as_prob_vector(probs)
     n = profile.n
     if n > max_length:
-        raise OracleSizeError(f"profile length {n} exceeds oracle guard {max_length}")
+        raise EnumerationCapError(f"profile length {n} exceeds oracle guard {max_length}")
     p_nz = p[p > 0]
     if p_nz.size > max_support:
-        raise OracleSizeError(
-            f"support {p_nz.size} exceeds oracle guard {max_support}"
-        )
+        raise EnumerationCapError(f"support {p_nz.size} exceeds oracle guard {max_support}")
     if profile.num_observed > p_nz.size:
         return float("-inf")
     comps = composition_array(n, p_nz.size)
@@ -140,13 +115,7 @@ def profile_logprob(
     return float(log_profile_coefficient(profile) + logsumexp(terms))
 
 
-def profile_logprob_by_sequences(
-    probs,
-    profile: Profile,
-    *,
-    max_length: int = 5,
-    max_support: int = 4,
-) -> float:
+def profile_logprob_by_sequences(probs, profile: Profile) -> float:
     """Independent cross-check of :func:`profile_logprob` by raw sequence enumeration.
 
     Sums the probability of all |support|^n sequences whose profile matches.
@@ -154,8 +123,8 @@ def profile_logprob_by_sequences(
     """
     p = _as_prob_vector(probs)
     n = profile.n
-    if n > max_length or p.size > max_support:
-        raise OracleSizeError("sequence enumeration limited to n <= 5, support <= 4")
+    if n > 5 or p.size > 4:
+        raise EnumerationCapError("sequence enumeration limited to n <= 5, support <= 4")
     target = profile.pairs
     total_terms = []
     for seq in itertools.product(range(p.size), repeat=n):
@@ -179,7 +148,7 @@ def profile_logprob_by_sequences(
     return float(logsumexp(np.array(total_terms)))
 
 
-def levelset_profile_logprob(values, counts, profile: Profile, *, cap: int = 2_000_000) -> float:
+def levelset_profile_logprob(values, counts, profile: Profile) -> float:
     """Exact log-probability of a profile under a level-set (pseudo-)distribution.
 
     Groups the type enumeration by probability level, so a distribution with
@@ -193,21 +162,21 @@ def levelset_profile_logprob(values, counts, profile: Profile, *, cap: int = 2_0
         raise ValueError("values and counts must have matching shapes")
     if np.any(counts < 1) or np.any(values <= 0):
         raise ValueError("levels need positive values and counts")
-    return levelset_d_profile_logprob(values, counts, DProfile.from_profile(profile), cap=cap)
+    return levelset_d_profile_logprob(values, counts, DProfile.from_profile(profile))
 
 
 def grid_partitions(resolution: int, support_cap: int, per_partition: int = 1) -> list:
     """The nonincreasing grid vectors a brute-force search tries, as partitions.
 
     Each partition of `resolution` into at most `support_cap` parts is tried
-    `per_partition` times. Raises :class:`OracleSizeError` when that makes
-    more than ``MAX_GRID_CANDIDATES`` candidates, after generating at most one
-    partition more than the limit allows.
+    `per_partition` times. Raises :class:`EnumerationCapError` when that
+    makes more than ``MAX_GRID_CANDIDATES`` candidates, after generating at
+    most one partition more than the limit allows.
     """
     limit = MAX_GRID_CANDIDATES // per_partition
     parts = list(itertools.islice(iter_partitions(resolution, resolution, support_cap), limit + 1))
     if len(parts) > limit:
-        raise OracleSizeError(
+        raise EnumerationCapError(
             f"resolution {resolution} with support cap {support_cap} gives more than "
             f"{MAX_GRID_CANDIDATES} candidate distributions"
         )
@@ -215,30 +184,33 @@ def grid_partitions(resolution: int, support_cap: int, per_partition: int = 1) -
 
 
 def brute_force_pml(
-    profile: Profile, config: GridSearchConfig | None = None
+    profile: Profile, support_cap: int | None = None, resolution: int = 10
 ) -> tuple[np.ndarray, float]:
     """Best distribution on the search grid, with its exact profile log-probability.
 
     Enumerates nonincreasing probability vectors (multiples of 1/resolution,
-    at most support_cap entries); the returned value is a certified lower
-    bound on the true PML objective. Raises :class:`OracleSizeError` beyond
-    the oracle's length and support guards or ``MAX_GRID_CANDIDATES``
-    vectors.
+    at most support_cap entries, ``min(2 n^2, 10)`` by default); the returned
+    value is a certified lower bound on the true PML objective. Raises
+    :class:`EnumerationCapError` beyond the oracle's length and support guards
+    or ``MAX_GRID_CANDIDATES`` vectors.
     """
-    if config is None:
-        config = GridSearchConfig.default_for(profile)
-    if config.support_cap > MAX_ORACLE_SUPPORT:
-        raise OracleSizeError(
-            f"support_cap {config.support_cap} exceeds oracle guard {MAX_ORACLE_SUPPORT}"
+    n = profile.n
+    if support_cap is None:
+        support_cap = min(2 * n**2, 10)
+    if support_cap < 1 or resolution < 1:
+        raise ValueError("support_cap and resolution must be positive")
+    if support_cap > 2 * n**2:
+        raise ValueError("support_cap may not exceed 2 n^2")
+    if support_cap > MAX_ORACLE_SUPPORT:
+        raise EnumerationCapError(
+            f"support_cap {support_cap} exceeds oracle guard {MAX_ORACLE_SUPPORT}"
         )
-    if profile.n > MAX_ORACLE_LENGTH:
-        raise OracleSizeError(
-            f"profile length {profile.n} exceeds oracle guard {MAX_ORACLE_LENGTH}"
-        )
+    if n > MAX_ORACLE_LENGTH:
+        raise EnumerationCapError(f"profile length {n} exceeds oracle guard {MAX_ORACLE_LENGTH}")
     best_logprob = float("-inf")
     best: np.ndarray | None = None
-    for parts in grid_partitions(config.resolution, config.support_cap):
-        candidate = np.array(parts, dtype=float) / config.resolution
+    for parts in grid_partitions(resolution, support_cap):
+        candidate = np.array(parts, dtype=float) / resolution
         value = profile_logprob(candidate, profile)
         if best is None or value > best_logprob:
             best_logprob = value
@@ -247,13 +219,7 @@ def brute_force_pml(
     return best, best_logprob
 
 
-def exact_d_profile_logprob(
-    prob_vectors: Sequence[np.ndarray],
-    dprofile: DProfile,
-    *,
-    max_length: int = 6,
-    max_support: int = 5,
-) -> float:
+def exact_d_profile_logprob(prob_vectors: Sequence[np.ndarray], dprofile: DProfile) -> float:
     """Exact log-probability of a d-profile by nested type enumeration.
 
     Enumerates per-coordinate compositions jointly over a shared support and
@@ -266,8 +232,8 @@ def exact_d_profile_logprob(
     support = probs[0].size
     if any(p.size != support for p in probs):
         raise ValueError("coordinates must share one domain")
-    if support > max_support or any(nk > max_length for nk in dprofile.n):
-        raise OracleSizeError("d-dimensional oracle limited to tiny instances")
+    if support > 5 or any(nk > 6 for nk in dprofile.n):
+        raise EnumerationCapError("d-dimensional oracle limited to tiny instances")
 
     comps = [composition_array(nk, support) for nk in dprofile.n]
     logs = []
@@ -308,13 +274,7 @@ def exact_d_profile_logprob(
     return float(log_d_profile_coefficient(dprofile) + logsumexp(logp[match]))
 
 
-def levelset_d_profile_logprob(
-    values: np.ndarray,
-    counts: np.ndarray,
-    dprofile: DProfile,
-    *,
-    cap: int = 2_000_000,
-) -> float:
+def levelset_d_profile_logprob(values: np.ndarray, counts: np.ndarray, dprofile: DProfile) -> float:
     """Exact d-profile log-probability of a paired level-set distribution.
 
     Groups the type enumeration by level tuple. Levels may have zero
@@ -340,7 +300,9 @@ def levelset_d_profile_logprob(
     )
     blocked = _blocked_cells(values, freqs)
     allowed = (
-        X for X in assignment.iter_feasible(spec, cap=cap) if not np.any(X[:, 1:][blocked] > 0)
+        X
+        for X in assignment.iter_feasible(spec, cap=2_000_000)
+        if not np.any(X[:, 1:][blocked] > 0)
     )
     return float(log_d_profile_coefficient(dprofile) + assignment.log_weight_total(allowed, spec))
 
@@ -362,13 +324,13 @@ def brute_force_pml_d(
     The first coordinate runs over nonincreasing grid distributions (labels
     are broken by sorting), the second over all grid compositions on the same
     support, zeros allowed. Returns a certified lower bound on the joint PML
-    value. Raises :class:`OracleSizeError` beyond the size guards, or when
-    the pairs would outnumber ``MAX_GRID_CANDIDATES``.
+    value. Raises :class:`EnumerationCapError` beyond the size guards, or
+    when the pairs would outnumber ``MAX_GRID_CANDIDATES``.
     """
     if dprofile.d != 2:
         raise ValueError("brute force implemented for d = 2")
     if support_cap > 4 or any(nk > 6 for nk in dprofile.n):
-        raise OracleSizeError("d = 2 brute force limited to tiny instances")
+        raise EnumerationCapError("d = 2 brute force limited to tiny instances")
     firsts = grid_partitions(resolution, support_cap, num_compositions(resolution, support_cap))
     best = float("-inf")
     best_pair: np.ndarray | None = None

@@ -186,7 +186,7 @@ def approximate_pml_d(
     num_levels, num_freqs = spec.num_levels, spec.num_cols - 1
     log_count, count_method = _log_num_assignments(spec)
     slack_relax_upper = _stirling_upper_bound(spec)
-    result = solver.solve(spec, solver.SolverConfig(delta=delta, max_iters=max_iters))
+    result = solver.solve(spec, delta, max_iters)
     rounded = rounding.round_assignment(result.X, spec)
     pseudo = rounding.pseudo_from_assignment(rounded)
     mass = np.atleast_1d(pseudo.total_mass)

@@ -103,7 +103,6 @@ from .assignment import grad_log_weight_relaxed  # noqa: F401,E402
 
 __all__ = [
     "InfeasibleError",
-    "SolverConfig",
     "SolveResult",
     "default_delta",
     "initial_point",
@@ -115,21 +114,6 @@ _STAGES = 12
 
 class InfeasibleError(ValueError):
     """The feasible set is empty: observed counts cannot fit the mass budget."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Target additive gap (log units) and the budget of Newton steps."""
-
-    delta: float
-    max_iters: int = 300
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < np.inf:  # NaN fails both comparisons
-            raise ValueError("delta must be positive and finite")
-        # A NaN passes `< 1` and would run no step; a fraction would be rounded up.
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ValueError("max_iters must be an integer of at least 1")
 
 
 @dataclass
@@ -592,7 +576,7 @@ class _ReducedDual:
         return 0.9 * step if np.all(np.isfinite(step)) else None
 
 
-def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResult:
+def solve(spec: AssignmentSpec, delta: float | None = None, max_iters: int = 300) -> SolveResult:
     """Damped-Newton continuation on the smoothed dual, with a certified gap.
 
     Each stage runs Newton steps in mu (at one budget) or in (mu, lam) (at
@@ -601,10 +585,11 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
     at the Poissonized dual point; each later one on the central path's
     tangent or at the last stage's end point, whichever has the lower
     ``F_t`` (the one guard on a prediction; see the module). The solve
-    stops once the certified gap drops below ``config.delta``; a gap still
-    above it when the stages or the ``config.max_iters`` Newton steps run
-    out flags the result non-certified. It runs on the observed columns and
-    returns its point in the caller's shape, zero on the empty columns.
+    stops once the certified gap drops below ``delta`` (log units;
+    :func:`default_delta` when None); a gap still above it when the stages
+    or the ``max_iters`` Newton steps run out flags the result
+    non-certified. It runs on the observed columns and returns its point in
+    the caller's shape, zero on the empty columns.
 
     Level-by-column arrays: the spec's table (``_ReducedDual.C`` is a view of
     it), the best point so far and the dual's scratch array exist
@@ -617,8 +602,14 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
     """
     if spec.row_counts is not None:
         raise ValueError("the solver is for the budget (fractional) variant")
-    if config is None:
-        config = SolverConfig(delta=default_delta(spec))
+    if delta is None:
+        delta = default_delta(spec)
+    # A bool is no number here; NaN fails both comparisons.
+    if isinstance(delta, (bool, np.bool_)) or not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
+    # A NaN passes `< 1` and would run no step; a fraction would be rounded up.
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
+        raise ValueError("max_iters must be an integer of at least 1")
     kept = np.r_[True, spec.col_counts > 0]  # the unseen and the observed columns
     full = spec
     if not kept.all():
@@ -644,7 +635,7 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
                 ahead, trial = dual.settle(ahead) if spec.dim > 1 else (ahead, dual.value(ahead))
                 start, evaluated = (ahead, trial) if trial[0] < at_x else (start, None)
             x, (lam_t, a, W, rows, P), taken, tau, H = _descend(
-                dual.value, dual.derivatives, start, config.max_iters - steps,
+                dual.value, dual.derivatives, start, max_iters - steps,
                 lower=lower, rtol=rtol, tau=tau, evaluated=evaluated)
             step = dual.tangent(lam_t, a, W, rows, P, H)  # the central path's tangent
             ahead = None if step is None else x + step
@@ -663,7 +654,7 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
             value = -np.inf if X is None else log_weight_relaxed(X, spec)
             if value > best_value:  # the old best becomes the scratch array
                 best, best_value, dual.scratch = X, value, best
-            if bound - best_value <= config.delta or steps >= config.max_iters:
+            if bound - best_value <= delta or steps >= max_iters:
                 break
             dual.t *= 0.1
             dual.exact = None if ahead is None else (mu, W)  # for F_t at x (see the module)
@@ -673,4 +664,4 @@ def solve(spec: AssignmentSpec, config: SolverConfig | None = None) -> SolveResu
         X[:, kept] = best
         best = X
     return SolveResult(X=best, objective=float(best_value), certified_gap=gap, iterations=steps,
-                       certified=bool(gap <= config.delta))
+                       certified=bool(gap <= delta))

@@ -12,9 +12,7 @@ import pytest
 from pml import (
     AssignmentSpec,
     DProfile,
-    GridSearchConfig,
     Profile,
-    SolverConfig,
     approximate_pml,
     approximate_pml_d,
     brute_force_pml,
@@ -226,7 +224,7 @@ def test_criterion_07_solver_contract():
     for spec in specs:
         scale = float(spec.disc_lengths.max())
         delta = 1e-6 * max(scale * math.log(max(scale, 2.0)), 1.0)
-        result = solve(spec, SolverConfig(delta=delta, max_iters=300))
+        result = solve(spec, delta, max_iters=300)
         assert is_feasible(result.X, spec, tol=1e-9)
         best = max(
             log_weight_relaxed(X.astype(float), spec)
@@ -305,8 +303,7 @@ def test_criterion_09_end_to_end_chain():
         achieved = levelset_profile_logprob(
             dist.values, np.rint(dist.counts).astype(int), profile
         )
-        config = GridSearchConfig(support_cap=min(2 * n * n, 8), resolution=8, n=n)
-        _, reference = brute_force_pml(profile, config)
+        _, reference = brute_force_pml(profile, support_cap=min(2 * n * n, 8), resolution=8)
         assert diag.assignment_count_method == "counted"
         assert achieved >= reference - diag.slack_total - 1e-9
         ratios.append(achieved - reference)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pml import (
-    GridSearchConfig,
-    OracleSizeError,
+    EnumerationCapError,
     Profile,
     brute_force_pml,
     levelset_profile_logprob,
@@ -30,8 +29,11 @@ def test_sequence_logprob_examples():
 
 def test_sequence_logprob_zero_and_range():
     assert sequence_logprob([0.0, 1.0], {0: 1}) == float("-inf")
-    with pytest.raises(IndexError):
-        sequence_logprob([1.0], {3: 1})
+    # A symbol that is no index of probs is refused, not read from the end.
+    for symbol in (3, 2, -1, 1.0, True, "a"):
+        with pytest.raises(ValueError, match="not an index"):
+            sequence_logprob([0.5, 0.25], {symbol: 1})
+    assert sequence_logprob([0.5, 0.25], {np.int64(1): 1}) == pytest.approx(math.log(0.25))
 
 
 def test_profile_logprob_examples():
@@ -68,9 +70,9 @@ def test_profile_logprob_scaling_identity():
 
 
 def test_profile_logprob_guards():
-    with pytest.raises(OracleSizeError):
+    with pytest.raises(EnumerationCapError):
         profile_logprob([1.0], Profile(((13, 1),)))
-    with pytest.raises(OracleSizeError):
+    with pytest.raises(EnumerationCapError):
         profile_logprob(np.full(11, 1 / 11), Profile(((1, 1),)))
     # explicit overrides lift the default guard
     assert profile_logprob([1.0], Profile(((14, 1),)), max_length=14) == pytest.approx(0.0)
@@ -90,8 +92,7 @@ def test_brute_force_point_mass_cases():
 def test_brute_force_two_singletons_uniform_over_cap():
     # P([(1,2)]) = 1 - sum p^2, maximized by uniform over the allowed support.
     for cap in (2, 4, 5):
-        config = GridSearchConfig(support_cap=cap, resolution=2 * cap, n=2)
-        probs, logprob = brute_force_pml(Profile(((1, 2),)), config)
+        probs, logprob = brute_force_pml(Profile(((1, 2),)), cap, 2 * cap)
         assert logprob == pytest.approx(math.log(1 - 1 / cap))
         assert np.allclose(probs, np.full(cap, 1 / cap))
 
@@ -100,20 +101,20 @@ def test_brute_force_monotone_in_resolution_and_cap():
     profile = profile_of_sequence("aabbc")
     values = []
     for resolution in (4, 8, 12):
-        _, v = brute_force_pml(profile, GridSearchConfig(5, resolution, profile.n))
+        _, v = brute_force_pml(profile, 5, resolution)
         values.append(v)
     assert values == sorted(values)
     by_cap = []
     for cap in (1, 2, 4):
-        _, v = brute_force_pml(profile, GridSearchConfig(cap, 12, profile.n))
+        _, v = brute_force_pml(profile, cap, 12)
         by_cap.append(v)
     assert by_cap == sorted(by_cap)
 
 
 def test_brute_force_guards():
-    with pytest.raises(ValueError):
-        GridSearchConfig(support_cap=9, resolution=5, n=2)  # 9 > 2 n^2
-    with pytest.raises(OracleSizeError):
+    with pytest.raises(ValueError, match="may not exceed 2 n"):
+        brute_force_pml(Profile(((1, 2),)), support_cap=9, resolution=5)  # 9 > 2 n^2
+    with pytest.raises(EnumerationCapError):
         brute_force_pml(Profile(((13, 1),)))
 
 
@@ -122,7 +123,7 @@ def test_brute_force_refuses_too_many_candidates_before_scoring_one(monkeypatch)
     calls = []
     monkeypatch.setattr(exact, "profile_logprob", lambda probs, _: calls.append(probs) or 0.0)
     # Resolution 40 over at most 10 parts: 16 928 candidates, all scored.
-    brute_force_pml(profile, GridSearchConfig.default_for(profile, 40))
+    brute_force_pml(profile, resolution=40)
     assert len(calls) == 16_928
 
     def scored(*_):
@@ -131,8 +132,8 @@ def test_brute_force_refuses_too_many_candidates_before_scoring_one(monkeypatch)
     monkeypatch.setattr(exact, "profile_logprob", scored)
     # 1 314 972 candidates at resolution 80; far more at the others.
     for resolution in (80, 200, 10**9):
-        with pytest.raises(OracleSizeError):
-            brute_force_pml(profile, GridSearchConfig.default_for(profile, resolution))
+        with pytest.raises(EnumerationCapError):
+            brute_force_pml(profile, resolution=resolution)
 
 
 def test_levelset_profile_logprob_matches_dense():

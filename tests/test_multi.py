@@ -6,7 +6,7 @@ import pytest
 
 from pml import (
     DProfile,
-    OracleSizeError,
+    EnumerationCapError,
     Profile,
     approximate_pml,
     approximate_pml_d,
@@ -303,7 +303,7 @@ def test_brute_force_d2_refuses_too_many_pairs_before_scoring_one(monkeypatch):
     # 108 partitions of 20 into at most 4 parts times 1 771 compositions;
     # at 200 the compositions alone pass the limit.
     for resolution in (20, 200):
-        with pytest.raises(OracleSizeError):
+        with pytest.raises(EnumerationCapError):
             brute_force_pml_d(dp, support_cap=4, resolution=resolution)
 
 

@@ -7,7 +7,6 @@ import pytest
 from pml import (
     AssignmentSpec,
     DProfile,
-    GridSearchConfig,
     Profile,
     approximate_pml,
     approximate_pml_d,
@@ -44,7 +43,7 @@ def test_two_singletons_matches_capped_brute_force():
     got = output_logprob(dist, profile)
     direct = math.log(1.0 - float((dist.values**2) @ dist.counts))
     assert got == pytest.approx(direct, abs=1e-9)
-    _, bf = brute_force_pml(profile, GridSearchConfig(support_cap=8, resolution=8, n=2))
+    _, bf = brute_force_pml(profile, support_cap=8, resolution=8)
     assert got >= bf - diag.slack_total - 1e-9
 
 
@@ -355,13 +354,13 @@ def test_measured_rounding_loss_is_within_the_a_priori_bounds(sequences, eps):
     # point the integral score is below the relaxed one by at most
     # sum over positive entries of 1 + log(X_ij + 1) / 2.
     from conftest import default_grid_spec
-    from pml import SolverConfig, round_assignment, solve
+    from pml import round_assignment, solve
 
     dprofile = d_profile_of(sequences)
     kwargs = {} if eps is None else {"eps1": (eps,) * dprofile.d, "eps2": (eps,) * dprofile.d}
     _, diag = approximate_pml_d(dprofile, **kwargs)
     spec = default_grid_spec(sequences, eps)
-    result = solve(spec, SolverConfig(delta=diag.delta))
+    result = solve(spec, diag.delta)
     assert result.objective == diag.solver_objective
     X = round_assignment(result.X, spec).X
     count_term = spec.num_levels * spec.num_cols * math.log(2.0 * min(dprofile.n) ** 2)

@@ -7,7 +7,8 @@ import pytest
 from pml import (
     AssignmentSpec,
     InfeasibleError,
-    SolverConfig,
+    Profile,
+    approximate_pml,
     default_delta,
     initial_point,
     is_feasible,
@@ -103,7 +104,7 @@ def test_feasible_scales_the_unseen_column_onto_the_budget():
 def test_solve_certifies_and_dominates_integral_max():
     for spec in tiny_solver_specs():
         delta = 1e-6 * max(float(spec.disc_lengths.max()) * math.log(max(float(spec.disc_lengths.max()), 2.0)), 1.0)
-        result = solve(spec, SolverConfig(delta=delta, max_iters=300))
+        result = solve(spec, delta, max_iters=300)
         assert is_feasible(result.X, spec, tol=1e-9)
         best = max(
             log_weight_relaxed(X.astype(float), spec)
@@ -123,7 +124,7 @@ def test_solve_bound_dominates_feasible_points(rng):
         points.append(max((X.astype(float) for X in iter_feasible(spec, cap=500_000)),
                           key=lambda X: log_weight_relaxed(X, spec)))
         for delta in (default_delta(spec), 10.0):
-            result = solve(spec, SolverConfig(delta=delta))
+            result = solve(spec, delta)
             claim = result.objective + result.certified_gap
             for point in points:
                 assert is_feasible(point, spec)
@@ -135,14 +136,14 @@ def test_solve_point_mass_profile_hits_hand_built_point():
     spec = AssignmentSpec(levels=[0.25, 0.5, 1.0], freqs=[0, 4], col_counts=[1])
     hand = np.zeros((3, 2))
     hand[2, 1] = 1.0
-    result = solve(spec, SolverConfig(delta=1e-7))
+    result = solve(spec, 1e-7)
     assert result.objective >= log_weight_relaxed(hand, spec) - 1e-7
 
 
 def test_solve_deterministic():
     spec = tiny_solver_specs()[2]
-    a = solve(spec, SolverConfig(delta=1e-6, max_iters=120))
-    b = solve(spec, SolverConfig(delta=1e-6, max_iters=120))
+    a = solve(spec, 1e-6, max_iters=120)
+    b = solve(spec, 1e-6, max_iters=120)
     assert np.array_equal(a.X, b.X)
     assert a.objective == b.objective
     assert a.certified_gap == b.certified_gap
@@ -323,17 +324,22 @@ def test_default_delta_scales_with_length():
     assert default_delta(tiny) == pytest.approx(1e-6)
 
 
-def test_solver_config_validation():
+def test_solve_validates_delta_and_max_iters():
+    spec = AssignmentSpec(levels=[0.5], freqs=[0, 1], col_counts=[2])
     with pytest.raises(ValueError):
-        SolverConfig(delta=0.0)
-    for delta in (math.nan, math.inf):  # inf certified any gap, nan none
-        with pytest.raises(ValueError):
-            SolverConfig(delta=delta)
-    for max_iters in (0, math.nan, math.inf, 2.5):  # nan ran 0 steps, 2.5 ran 3
-        with pytest.raises(ValueError):
-            SolverConfig(delta=1e-6, max_iters=max_iters)
+        solve(spec, 0.0)
+    # inf certified any gap, nan none; True was taken as delta = 1.
+    for delta in (math.nan, math.inf, True, np.True_):
+        with pytest.raises(ValueError, match="delta"):
+            solve(spec, delta)
+    # nan ran 0 steps, 2.5 ran 3, True ran 1.
+    for max_iters in (0, math.nan, math.inf, 2.5, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(spec, 1e-6, max_iters=max_iters)
+        with pytest.raises(ValueError, match="max_iters"):
+            approximate_pml(Profile(((1, 2),)), max_iters=max_iters)
     for max_iters in (300, np.int64(300)):
-        assert SolverConfig(delta=1e-6, max_iters=max_iters).max_iters == 300
+        assert solve(spec, 1e-6, max_iters=max_iters).certified
 
 
 def dense_derivatives(dual, x, state):
@@ -808,7 +814,7 @@ def test_certificate_reads_no_anchored_row_term(monkeypatch):
     monkeypatch.setattr(_ReducedDual, "anchored_row_terms", undercounted)
     for spec in tiny_solver_specs():
         delta = 1e-6 * max(float(spec.disc_lengths.max()) * math.log(max(float(spec.disc_lengths.max()), 2.0)), 1.0)
-        result = solve(spec, SolverConfig(delta=delta, max_iters=300))
+        result = solve(spec, delta, max_iters=300)
         best = max(
             log_weight_relaxed(X.astype(float), spec)
             for X in iter_feasible(spec, cap=500_000)
